@@ -77,3 +77,25 @@ func TestFig10SeedByteIdentical(t *testing.T) {
 	})
 	checkGolden(t, "fig10_seed.golden", renderFig10Deterministic(rep))
 }
+
+// The fig11–fig14 goldens pin the serving paths a queue or event-loop
+// refactor touches — cache-budget routing (fig11), autoscaling (fig12),
+// priority decode admission under disaggregation (fig13) and crash
+// requeue, retry, hedging and shedding (fig14) — byte for byte, on the
+// configs of each figure's determinism test.
+
+func TestFig11SeedByteIdentical(t *testing.T) {
+	checkGolden(t, "fig11_seed.golden", RenderFig11(Fig11(fig11TestConfig())))
+}
+
+func TestFig12SeedByteIdentical(t *testing.T) {
+	checkGolden(t, "fig12_seed.golden", RenderFig12(Fig12(fig12TestConfig())))
+}
+
+func TestFig13SeedByteIdentical(t *testing.T) {
+	checkGolden(t, "fig13_seed.golden", RenderFig13(Fig13(fig13TestConfig())))
+}
+
+func TestFig14SeedByteIdentical(t *testing.T) {
+	checkGolden(t, "fig14_seed.golden", RenderFig14(Fig14(Config{Seed: 3})))
+}
