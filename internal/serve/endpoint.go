@@ -79,10 +79,11 @@ type Endpoint struct {
 	oneKey [1]promptKey
 	oneOut [1]int
 	mbuf   []admitted
-	// Batch-call scratch for ServeBatch (same contract): the per-member key
-	// and out-token slices, plus one shared section-key arena the members'
-	// chains are sliced out of — sized up front so appending never
-	// reallocates under an already-handed-out promptKey.
+	// Batch-call scratch for ServeBatch and replay launches (same
+	// contract): the per-member key and out-token slices (batchScratch),
+	// plus ServeBatch's shared section-key arena the members' chains are
+	// sliced out of — sized up front so appending never reallocates under
+	// an already-handed-out promptKey.
 	bkeys  []promptKey
 	bouts  []int
 	barena []sectionKey
@@ -106,6 +107,17 @@ type Endpoint struct {
 	// default for every monolithic config — leaves all paths byte-identical
 	// to builds predating disaggregation.
 	dis *disaggState
+}
+
+// batchScratch returns the endpoint's reused per-member key and
+// out-token slices, sized n. ServeBatch and both replay loops fill them
+// for admitBatch; their contents are valid until the next call.
+func (e *Endpoint) batchScratch(n int) ([]promptKey, []int) {
+	if cap(e.bkeys) < n {
+		e.bkeys = make([]promptKey, n)
+		e.bouts = make([]int, n)
+	}
+	return e.bkeys[:n], e.bouts[:n]
 }
 
 // Compile-time checks: an endpoint is a drop-in serving backend for llm
@@ -482,11 +494,7 @@ func (e *Endpoint) ServeBatch(calls []llm.Call) []llm.Served {
 	// ServeBatch calls, and the chains share one section-key arena that is
 	// sized up front (growing it mid-loop would reallocate the backing
 	// array out from under the keys already built).
-	if cap(e.bkeys) < len(calls) {
-		e.bkeys = make([]promptKey, len(calls))
-		e.bouts = make([]int, len(calls))
-	}
-	keys, outs := e.bkeys[:len(calls)], e.bouts[:len(calls)]
+	keys, outs := e.batchScratch(len(calls))
 	secs := 0
 	for _, c := range calls {
 		secs += len(c.Prompt.Sections)

@@ -206,3 +206,30 @@ func TestValidateRejectsResilientDisagg(t *testing.T) {
 		}
 	}
 }
+
+// TestReplayThroughputCountsServedOnly: a shedding, deadline-bound replay
+// resolves some requests shed or timed out; Throughput must count only
+// the served ones, not every completion record.
+func TestReplayThroughputCountsServedOnly(t *testing.T) {
+	cfg := Config{Profile: noJitter, Replicas: 1, MaxBatch: 2,
+		MaxWait: time.Second, CacheEntries: 64, Shed: ShedPolicy{Queue: 4}}
+	reqs := testTrace(8, 6, 2*time.Second, 100*time.Millisecond)
+	for i := range reqs {
+		reqs[i].Deadline = 20 * time.Second
+	}
+	res := Replay(cfg, reqs)
+	served, dropped := 0, 0
+	for _, c := range res.Completions {
+		if c.Outcome == OutcomeServed {
+			served++
+		} else {
+			dropped++
+		}
+	}
+	if served == 0 || dropped == 0 {
+		t.Fatalf("want both served and shed/timed-out requests, got %d served, %d not", served, dropped)
+	}
+	if got, want := res.Throughput(), float64(served)/res.Makespan.Seconds(); got != want {
+		t.Fatalf("Throughput = %v req/s, want %v (%d served over %v)", got, want, served, res.Makespan)
+	}
+}

@@ -1,7 +1,8 @@
 package serve
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"embench/internal/metrics"
@@ -68,12 +69,19 @@ type ReplayResult struct {
 }
 
 // Throughput reports served requests per simulated second over the
-// makespan.
+// makespan. A resilient replay's shed and timed-out resolutions were never
+// served, so they do not count.
 func (r ReplayResult) Throughput() float64 {
 	if r.Makespan <= 0 {
 		return 0
 	}
-	return float64(len(r.Completions)) / r.Makespan.Seconds()
+	served := 0
+	for i := range r.Completions {
+		if r.Completions[i].Outcome == OutcomeServed {
+			served++
+		}
+	}
+	return float64(served) / r.Makespan.Seconds()
 }
 
 // Replay runs a full request trace through a fresh endpoint with a
@@ -108,88 +116,30 @@ func replayOn(e *Endpoint, reqs []Request) ReplayResult {
 	if len(reqs) == 0 {
 		return res
 	}
+	keys, order := e.replayPlan(reqs)
 
-	// Hash every request's prefix chain once, under the endpoint's cache
-	// identity; routing probes and batch admissions below reuse the
-	// memoized keys.
-	keys := make([]promptKey, len(reqs))
-	for i := range reqs {
-		keys[i] = chainKeysIdent(nil, reqs[i].Prompt, e.cfg.Identity)
-	}
-
-	// Arrival order with an explicit total tie-break: (arrival, priority,
-	// submission index). Hand-built schedules rarely collide, but generated
-	// traffic (internal/serve/traffic.go) interleaves many tenants' seeded
-	// arrival processes and equal arrivals DO occur — the order they enter
-	// the admission queue must be pinned by the trace itself, never by sort
-	// internals.
-	order := make([]int, len(reqs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		qa, qb := reqs[order[a]], reqs[order[b]]
-		if qa.Arrival != qb.Arrival {
-			return qa.Arrival < qb.Arrival
-		}
-		if qa.Priority != qb.Priority {
-			return qa.Priority < qb.Priority
-		}
-		return order[a] < order[b]
-	})
-
-	if e.sink != nil {
-		for _, qi := range order {
-			rq := reqs[qi]
-			e.emitSubmit(int64(qi)+1, rq.Agent, rq.Arrival, rq.Prompt, rq.OutTokens, rq.Priority)
-		}
-	}
-
-	var queue []int // request indices, kept sorted by (Priority, Arrival, index)
+	var queue admissionQueue // request indices
+	var batch []int          // the launching batch's request indices (reused)
 	nextArr := 0
 	now := reqs[order[0]].Arrival
 	done := 0
 
 	admit := func() {
-		arrived := false
 		for nextArr < len(order) && reqs[order[nextArr]].Arrival <= now {
-			queue = append(queue, order[nextArr])
+			qi := order[nextArr]
+			queue.push(reqs[qi].Priority, reqs[qi].Arrival, qi)
 			nextArr++
-			arrived = true
 		}
-		if !arrived {
-			return
-		}
-		sort.SliceStable(queue, func(a, b int) bool {
-			qa, qb := reqs[queue[a]], reqs[queue[b]]
-			if qa.Priority != qb.Priority {
-				return qa.Priority < qb.Priority
-			}
-			if qa.Arrival != qb.Arrival {
-				return qa.Arrival < qb.Arrival
-			}
-			return queue[a] < queue[b]
-		})
-	}
-
-	oldestArrival := func() time.Duration {
-		oldest := reqs[queue[0]].Arrival
-		for _, qi := range queue[1:] {
-			if reqs[qi].Arrival < oldest {
-				oldest = reqs[qi].Arrival
-			}
-		}
-		return oldest
 	}
 
 	shouldLaunch := func() bool {
-		if e.cfg.MaxBatch <= 1 || len(queue) >= e.cfg.MaxBatch {
+		if e.cfg.MaxBatch <= 1 || queue.len() >= e.cfg.MaxBatch {
 			return true
 		}
 		if nextArr >= len(order) {
 			return true // nothing else is coming; waiting is pure loss
 		}
-		return now-oldestArrival() >= e.cfg.MaxWait
+		return now-queue.oldest() >= e.cfg.MaxWait
 	}
 
 	for done < len(reqs) {
@@ -202,20 +152,14 @@ func replayOn(e *Endpoint, reqs []Request) ReplayResult {
 
 		// Launch batches while an idle replica and the policy allow; the
 		// routing policy picks which idle replica hosts each batch.
-		for len(queue) > 0 && shouldLaunch() {
-			r := e.routeIdle(now, keys[queue[0]])
+		for queue.len() > 0 && shouldLaunch() {
+			r := e.routeIdle(now, keys[queue.front()])
 			if r == nil {
 				break
 			}
-			n := len(queue)
-			if n > e.cfg.MaxBatch {
-				n = e.cfg.MaxBatch
-			}
-			batch := queue[:n]
-			queue = append([]int(nil), queue[n:]...)
-
-			bkeys := make([]promptKey, n)
-			outs := make([]int, n)
+			batch = queue.popN(batch[:0], e.cfg.MaxBatch)
+			n := len(batch)
+			bkeys, outs := e.batchScratch(n)
 			for bi, qi := range batch {
 				bkeys[bi], outs[bi] = keys[qi], reqs[qi].OutTokens
 			}
@@ -271,10 +215,10 @@ func replayOn(e *Endpoint, reqs []Request) ReplayResult {
 				next = t
 			}
 		}
-		if len(queue) > 0 && e.cfg.MaxBatch > 1 {
+		if queue.len() > 0 && e.cfg.MaxBatch > 1 {
 			// Only a future window expiry is an event; an already-expired
 			// window means the queue is waiting on a replica, not on time.
-			if t := oldestArrival() + e.cfg.MaxWait; t > now && t < next {
+			if t := queue.oldest() + e.cfg.MaxWait; t > now && t < next {
 				next = t
 			}
 		}
@@ -298,4 +242,50 @@ func replayOn(e *Endpoint, reqs []Request) ReplayResult {
 	e.finishAutoscale(res.Makespan)
 	res.Stats = e.Stats()
 	return res
+}
+
+// replayPlan prepares a trace for either replay loop. It hashes every
+// request's prefix chain once, under the endpoint's cache identity, into
+// one shared section-key arena (routing probes and batch admissions reuse
+// the memoized keys), and returns the order requests enter admission:
+// (arrival, priority, submission index). Hand-built schedules rarely
+// collide, but generated traffic (internal/serve/traffic.go) interleaves
+// many tenants' seeded arrival processes and equal arrivals DO occur — the
+// order they enter the admission queue must be pinned by the trace itself,
+// never by sort internals. When a flight-recorder sink is attached, submit
+// events for the whole trace are emitted here, in that order.
+func (e *Endpoint) replayPlan(reqs []Request) (keys []promptKey, order []int) {
+	secs := 0
+	for i := range reqs {
+		secs += len(reqs[i].Prompt.Sections)
+	}
+	arena := make([]sectionKey, 0, secs)
+	keys = make([]promptKey, len(reqs))
+	for i := range reqs {
+		keys[i] = chainKeysIdent(arena[len(arena):len(arena):cap(arena)], reqs[i].Prompt, e.cfg.Identity)
+		arena = arena[:len(arena)+len(keys[i].secs)]
+	}
+
+	order = make([]int, len(reqs))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		qa, qb := &reqs[a], &reqs[b]
+		if c := cmp.Compare(qa.Arrival, qb.Arrival); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(qa.Priority, qb.Priority); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+
+	if e.sink != nil {
+		for _, qi := range order {
+			rq := reqs[qi]
+			e.emitSubmit(int64(qi)+1, rq.Agent, rq.Arrival, rq.Prompt, rq.OutTokens, rq.Priority)
+		}
+	}
+	return keys, order
 }

@@ -1,8 +1,9 @@
 package serve
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"embench/internal/rng"
@@ -118,37 +119,13 @@ func replayResilient(e *Endpoint, reqs []Request) ReplayResult {
 		return res
 	}
 
-	keys := make([]promptKey, len(reqs))
-	for i := range reqs {
-		keys[i] = chainKeysIdent(nil, reqs[i].Prompt, e.cfg.Identity)
-	}
-
-	order := make([]int, len(reqs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		qa, qb := reqs[order[a]], reqs[order[b]]
-		if qa.Arrival != qb.Arrival {
-			return qa.Arrival < qb.Arrival
-		}
-		if qa.Priority != qb.Priority {
-			return qa.Priority < qb.Priority
-		}
-		return order[a] < order[b]
-	})
-
-	if e.sink != nil {
-		for _, qi := range order {
-			rq := reqs[qi]
-			e.emitSubmit(int64(qi)+1, rq.Agent, rq.Arrival, rq.Prompt, rq.OutTokens, rq.Priority)
-		}
-	}
+	keys, order := e.replayPlan(reqs)
 
 	states := make([]rState, len(reqs))
 	var attempts []rAttempt
-	var queue []int    // attempt ids, sorted by (priority, attempt arrival, id)
-	var inflight []int // attempt ids whose batch is running
+	var queue admissionQueue // attempt ids, by (priority, attempt arrival, id)
+	var inflight []int       // attempt ids whose batch is running
+	var batch, expired []int // per-launch / per-instant scratch (reused)
 	var timers []rTimer
 	timerSeq := 0
 	// Retry jitter shares the fault seed's root (zero is a valid seed): the
@@ -159,35 +136,19 @@ func replayResilient(e *Endpoint, reqs []Request) ReplayResult {
 	nextArr := 0
 	now := reqs[order[0]].Arrival
 	doneCount := 0
-	queueDirty := false
 	hasDeadlines := anyDeadline(reqs)
+	// minExpiry bounds every queued attempt's deadline from below: step 6
+	// computes it, and until then the queue only loses attempts.
+	minExpiry := time.Duration(1<<63 - 1)
 
-	sortQueue := func() {
-		if !queueDirty {
-			return
-		}
-		queueDirty = false
-		sort.SliceStable(queue, func(a, b int) bool {
-			aa, ab := &attempts[queue[a]], &attempts[queue[b]]
-			pa, pb := reqs[aa.req].Priority, reqs[ab.req].Priority
-			if pa != pb {
-				return pa < pb
-			}
-			if aa.arrival != ab.arrival {
-				return aa.arrival < ab.arrival
-			}
-			return queue[a] < queue[b]
-		})
+	// queueAttempt puts attempt ai into admission under its request's
+	// priority and the attempt's own arrival.
+	queueAttempt := func(ai int) {
+		queue.push(reqs[attempts[ai].req].Priority, attempts[ai].arrival, ai)
 	}
-
-	oldestQueued := func() time.Duration {
-		oldest := attempts[queue[0]].arrival
-		for _, ai := range queue[1:] {
-			if attempts[ai].arrival < oldest {
-				oldest = attempts[ai].arrival
-			}
-		}
-		return oldest
+	// expiry is a queued attempt's deadline instant (deadline requests only).
+	expiry := func(ai int) time.Duration {
+		return attempts[ai].arrival + reqs[attempts[ai].req].Deadline
 	}
 
 	shedNow := func(t time.Duration, prio int) bool {
@@ -195,10 +156,10 @@ func replayResilient(e *Endpoint, reqs []Request) ReplayResult {
 		if !p.enabled() || prio < p.Priority {
 			return false
 		}
-		if p.Queue > 0 && len(queue) >= p.Queue {
+		if p.Queue > 0 && queue.len() >= p.Queue {
 			return true
 		}
-		return p.Wait > 0 && len(queue) > 0 && t-oldestQueued() >= p.Wait
+		return p.Wait > 0 && queue.len() > 0 && t-queue.oldest() >= p.Wait
 	}
 
 	resolveShed := func(req int, t time.Duration) {
@@ -229,8 +190,7 @@ func replayResilient(e *Endpoint, reqs []Request) ReplayResult {
 		st.hedged = false
 		st.live++
 		attempts = append(attempts, rAttempt{req: req, arrival: t})
-		queue = append(queue, len(attempts)-1)
-		queueDirty = true
+		queueAttempt(len(attempts) - 1)
 		if e.cfg.Hedge.enabled() {
 			timers = append(timers, rTimer{
 				at: t + e.cfg.Hedge.Delay, seq: timerSeq,
@@ -283,16 +243,6 @@ func replayResilient(e *Endpoint, reqs []Request) ReplayResult {
 		attemptLost(a.req, te)
 	}
 
-	// dropFromQueue removes one attempt id from the queue (order preserved).
-	dropFromQueue := func(ai int) {
-		for i, q := range queue {
-			if q == ai {
-				queue = append(queue[:i], queue[i+1:]...)
-				return
-			}
-		}
-	}
-
 	// resolveServed completes a logical request with attempt ai's batch:
 	// winner-only flow accounting, cancellation of still-queued duplicates
 	// (in-service duplicates run on as priced waste).
@@ -321,24 +271,20 @@ func replayResilient(e *Endpoint, reqs []Request) ReplayResult {
 			e.emitComplete(int64(a.req)+1, rq.Agent, a.ri, a.end, a.end-rq.Arrival, wait, a.batch, a.cached, a.total)
 		}
 		// Cancel queued duplicates for free; they never reached a replica.
-		for i := 0; i < len(queue); {
-			if attempts[queue[i]].req == a.req {
-				st.live--
-				queue = append(queue[:i], queue[i+1:]...)
-				continue
-			}
-			i++
+		// live counts queued plus in-service attempts, so 0 means none queue.
+		if st.live > 0 {
+			st.live -= queue.removeIf(func(q int) bool { return attempts[q].req == a.req })
 		}
 	}
 
 	shouldLaunch := func() bool {
-		if e.cfg.MaxBatch <= 1 || len(queue) >= e.cfg.MaxBatch {
+		if e.cfg.MaxBatch <= 1 || queue.len() >= e.cfg.MaxBatch {
 			return true
 		}
 		if nextArr >= len(order) && len(timers) == 0 {
 			return true // nothing else is coming; waiting is pure loss
 		}
-		return now-oldestQueued() >= e.cfg.MaxWait
+		return now-queue.oldest() >= e.cfg.MaxWait
 	}
 
 	for doneCount < len(reqs) {
@@ -372,28 +318,23 @@ func replayResilient(e *Endpoint, reqs []Request) ReplayResult {
 		}
 
 		// 2. Deadline expiries among queued attempts, in (expiry, id) order.
-		if hasDeadlines {
-			for {
-				best, bestTe := -1, time.Duration(0)
-				for _, ai := range queue {
-					a := &attempts[ai]
-					d := reqs[a.req].Deadline
-					if d <= 0 {
-						continue
-					}
-					te := a.arrival + d
-					if te > now {
-						continue
-					}
-					if best < 0 || te < bestTe || (te == bestTe && ai < best) {
-						best, bestTe = ai, te
-					}
+		if minExpiry <= now {
+			expired = expired[:0]
+			queue.removeIf(func(ai int) bool {
+				if reqs[attempts[ai].req].Deadline > 0 && expiry(ai) <= now {
+					expired = append(expired, ai)
+					return true
 				}
-				if best < 0 {
-					break
+				return false
+			})
+			slices.SortFunc(expired, func(x, y int) int {
+				if c := cmp.Compare(expiry(x), expiry(y)); c != 0 {
+					return c
 				}
-				dropFromQueue(best)
-				timeOutAttempt(best, bestTe)
+				return cmp.Compare(x, y)
+			})
+			for _, ai := range expired {
+				timeOutAttempt(ai, expiry(ai))
 			}
 		}
 
@@ -441,8 +382,7 @@ func replayResilient(e *Endpoint, reqs []Request) ReplayResult {
 				st.live++
 				e.stats.HedgesIssued++
 				attempts = append(attempts, rAttempt{req: tm.req, hedge: true, arrival: tm.at})
-				queue = append(queue, len(attempts)-1)
-				queueDirty = true
+				queueAttempt(len(attempts) - 1)
 				if e.sink != nil {
 					e.emitHedge(int64(tm.req)+1, tm.at)
 				}
@@ -455,49 +395,36 @@ func replayResilient(e *Endpoint, reqs []Request) ReplayResult {
 			nextArr++
 			enqueue(qi, reqs[qi].Arrival)
 		}
-		sortQueue()
 
 		// 5. Launch batches while an idle replica and the policy allow. A
 		// batch never carries two attempts of the same request (racing your
 		// own duplicate inside one batch is pure waste); skipped duplicates
 		// stay queued.
-		for len(queue) > 0 && shouldLaunch() {
-			r := e.routeIdle(now, keys[attempts[queue[0]].req])
+		for queue.len() > 0 && shouldLaunch() {
+			r := e.routeIdle(now, keys[attempts[queue.front()].req])
 			if r == nil {
 				break
 			}
-			var batch []int
-			for _, ai := range queue {
-				dup := false
+			batch = batch[:0]
+			skipped := false
+			queue.walk(func(ai int) bool {
 				for _, bi := range batch {
 					if attempts[bi].req == attempts[ai].req {
-						dup = true
-						break
+						skipped = true
+						return true
 					}
 				}
-				if dup {
-					continue
-				}
 				batch = append(batch, ai)
-				if len(batch) >= e.cfg.MaxBatch {
-					break
-				}
-			}
+				return len(batch) < e.cfg.MaxBatch
+			})
 			n := len(batch)
-			taken := make(map[int]bool, n)
-			for _, ai := range batch {
-				taken[ai] = true
+			if skipped {
+				queue.removeIf(func(ai int) bool { return slices.Contains(batch, ai) })
+			} else {
+				batch = queue.popN(batch[:0], n) // no skips: the batch is the queue's first n
 			}
-			rest := queue[:0]
-			for _, ai := range queue {
-				if !taken[ai] {
-					rest = append(rest, ai)
-				}
-			}
-			queue = rest
 
-			bkeys := make([]promptKey, n)
-			outs := make([]int, n)
+			bkeys, outs := e.batchScratch(n)
 			for bi, ai := range batch {
 				bkeys[bi], outs[bi] = keys[attempts[ai].req], reqs[attempts[ai].req].OutTokens
 			}
@@ -527,10 +454,8 @@ func replayResilient(e *Endpoint, reqs []Request) ReplayResult {
 							timeOutAttempt(ai, w.start)
 							continue
 						}
-						queue = append(queue, ai)
-						queueDirty = true
+						queueAttempt(ai)
 					}
-					sortQueue()
 					continue
 				}
 			}
@@ -579,20 +504,26 @@ func replayResilient(e *Endpoint, reqs []Request) ReplayResult {
 				next = t
 			}
 		}
-		for _, ai := range queue {
-			if d := reqs[attempts[ai].req].Deadline; d > 0 {
-				if t := attempts[ai].arrival + d; t > now && t < next {
-					next = t
+		minExpiry = time.Duration(1<<63 - 1)
+		if hasDeadlines {
+			queue.walk(func(ai int) bool {
+				if reqs[attempts[ai].req].Deadline > 0 {
+					t := expiry(ai)
+					minExpiry = min(minExpiry, t)
+					if t > now && t < next {
+						next = t
+					}
 				}
-			}
+				return true
+			})
 		}
 		for _, ai := range inflight {
 			if t := attempts[ai].end; t > now && t < next {
 				next = t
 			}
 		}
-		if len(queue) > 0 && e.cfg.MaxBatch > 1 {
-			if t := oldestQueued() + e.cfg.MaxWait; t > now && t < next {
+		if queue.len() > 0 && e.cfg.MaxBatch > 1 {
+			if t := queue.oldest() + e.cfg.MaxWait; t > now && t < next {
 				next = t
 			}
 		}

@@ -372,3 +372,30 @@ func BenchmarkReplay(b *testing.B) {
 		Replay(cfg, reqs)
 	}
 }
+
+// BenchmarkReplayDeepQueue replays generated traffic deep enough to build
+// real admission queues: 160 tenants whose arrivals are kept to 3-minute
+// on-windows every 10 minutes over an hour (~9.6k requests), on an
+// 8-replica, batch-8, 500 ms, cache-affinity, 8192-token GPT-4 endpoint.
+// BenchmarkReplay's 8x32 trace never queues more than a batch.
+func BenchmarkReplayDeepQueue(b *testing.B) {
+	const on, period = 3 * time.Minute, 10 * time.Minute
+	cfg := Config{Profile: llm.GPT4, Replicas: 8, MaxBatch: 8,
+		MaxWait: 500 * time.Millisecond, Routing: RouteCacheAffinity, CacheTokens: 8192}
+	var reqs []Request
+	for _, r := range GenerateTraffic(Traffic{
+		Tenants: 160, Horizon: time.Hour,
+		Rate: (1.0 / 60) * float64(period) / float64(on), // one request a minute on average
+		Seed: 101,
+	}) {
+		if r.Arrival%period < on {
+			reqs = append(reqs, r)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Replay(cfg, reqs)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(reqs)), "ns/request")
+}
