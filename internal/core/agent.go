@@ -45,6 +45,8 @@ type Agent struct {
 	ID  int
 	Cfg AgentConfig
 
+	label string // trace identity: "agent<ID>" or "central"
+
 	Store      MemStore
 	planClient *llm.Client
 	commClient *llm.Client
@@ -80,7 +82,7 @@ func NewAgent(id int, cfg AgentConfig, src *rng.Source, clock *simclock.Clock, t
 		name = "central"
 	}
 	a := &Agent{
-		ID: id, Cfg: cfg, clock: clock, tracer: tracer,
+		ID: id, Cfg: cfg, label: name, clock: clock, tracer: tracer,
 		senseStream:   src.NewStream(name + "/sense"),
 		persistStream: src.NewStream(name + "/persist"),
 		reflStream:    src.NewStream(name + "/reflect"),
@@ -112,14 +114,6 @@ func NewAgent(id int, cfg AgentConfig, src *rng.Source, clock *simclock.Clock, t
 	return a
 }
 
-// name renders the agent's trace identity.
-func (a *Agent) name() string {
-	if a.ID == CentralAgent {
-		return "central"
-	}
-	return fmt.Sprintf("agent%d", a.ID)
-}
-
 // Sense runs the perception backend over the domain observation: charges
 // inference latency and drops entity records the detector missed.
 func (a *Agent) Sense(d Domain, step int) Observation {
@@ -130,7 +124,7 @@ func (a *Agent) Sense(d Domain, step int) Observation {
 	b := a.Cfg.Sensing
 	lat := a.chargeOverlapped(b.Latency(obs.Entities))
 	a.tracer.Record(trace.Event{
-		Step: step, Agent: a.name(), Module: trace.Sensing, Kind: b.Name, Latency: lat,
+		Step: step, Agent: a.label, Module: trace.Sensing, Kind: b.Name, Latency: lat,
 	})
 	if b.MissProb <= 0 {
 		return obs
@@ -157,7 +151,7 @@ func (a *Agent) Retrieve(step int) memory.Retrieval {
 	ret := a.Store.Retrieve(step)
 	lat := a.chargeOverlapped(ret.Latency)
 	a.tracer.Record(trace.Event{
-		Step: step, Agent: a.name(), Module: trace.Memory, Kind: "retrieve", Latency: lat,
+		Step: step, Agent: a.label, Module: trace.Memory, Kind: "retrieve", Latency: lat,
 	})
 	return ret
 }
@@ -302,7 +296,7 @@ func (a *Agent) preparePlan(step int, belief Belief, proposal Proposal, ret memo
 	}
 	return PlanPrep{
 		Req: llm.Request{
-			Agent: a.name(), Module: trace.Planning, Step: step, Kind: "plan",
+			Agent: a.label, Module: trace.Planning, Step: step, Kind: "plan",
 			Prompt: p, OutTokens: outTokens,
 			Good: proposal.Good, Corruptions: anySlice(proposal.Corruptions),
 			Complexity: proposal.Complexity, Staleness: belief.Staleness,
@@ -351,7 +345,7 @@ func (a *Agent) FinishPlan(prep PlanPrep, resp llm.Response) (res PlanResult, se
 	// a concrete action and can itself pick wrong.
 	if a.Cfg.ActSelect && res.Subgoal != nil {
 		selReq = llm.Request{
-			Agent: a.name(), Module: trace.Execution, Step: prep.step, Kind: "act-select",
+			Agent: a.label, Module: trace.Execution, Step: prep.step, Kind: "act-select",
 			Prompt:    planning.Build(planning.Context{SystemTokens: 120, TaskTokens: 40, ObsTokens: prep.obsTokens}),
 			OutTokens: planning.ActSelectOutTokens,
 			Good:      res.Subgoal, Corruptions: anySlice(prep.proposal.Corruptions),
@@ -401,7 +395,7 @@ func (a *Agent) Execute(d Domain, step int, pr PlanResult) execution.Result {
 		ok := true
 		for i := 0; i < primitiveCalls; i++ {
 			resp := a.planClient.Complete(llm.Request{
-				Agent: a.name(), Module: trace.Execution, Step: step, Kind: "primitive",
+				Agent: a.label, Module: trace.Execution, Step: step, Kind: "primitive",
 				Prompt:    planning.Build(planning.Context{SystemTokens: 160, TaskTokens: 40, ObsTokens: 120}),
 				OutTokens: planning.PrimitiveOutTokens,
 				Good:      pr.Subgoal, Corruptions: anySlice(pr.Proposal.Corruptions),
@@ -420,7 +414,7 @@ func (a *Agent) Execute(d Domain, step int, pr PlanResult) execution.Result {
 	lat := execution.Latency(res.Effort)
 	a.clock.Advance(lat)
 	a.tracer.Record(trace.Event{
-		Step: step, Agent: a.name(), Module: trace.Execution, Kind: "ground", Latency: lat,
+		Step: step, Agent: a.label, Module: trace.Execution, Kind: "ground", Latency: lat,
 		Note: res.Note,
 	})
 	return res
@@ -441,7 +435,7 @@ func (a *Agent) Reflect(d Domain, step int, pr PlanResult, res execution.Result)
 		return
 	}
 	resp := a.reflClient.Complete(llm.Request{
-		Agent: a.name(), Module: trace.Reflection, Step: step, Kind: "reflect",
+		Agent: a.label, Module: trace.Reflection, Step: step, Kind: "reflect",
 		Prompt:    planning.Build(planning.Context{SystemTokens: 140, TaskTokens: 40, ObsTokens: 110}),
 		OutTokens: planning.ReflectOutTokens,
 		Good:      true,
@@ -489,7 +483,7 @@ func (a *Agent) ComposeMessage(step int, obs Observation, dialogueTokens int) (c
 	a.lastShared = step
 	tokens := comms.MessageTokens(share)
 	resp := a.commClient.Complete(llm.Request{
-		Agent: a.name(), Module: trace.Comms, Step: step, Kind: "message",
+		Agent: a.label, Module: trace.Comms, Step: step, Kind: "message",
 		Prompt: planning.Build(planning.Context{
 			SystemTokens:   a.Cfg.SystemTokens,
 			TaskTokens:     a.Cfg.TaskTokens / 2,
@@ -525,7 +519,7 @@ func (a *Agent) ShouldAnnounce(sg Subgoal) bool {
 func (a *Agent) MarkMessageUseful(step int, useful bool) {
 	for i := len(a.tracer.Events) - 1; i >= 0; i-- {
 		ev := &a.tracer.Events[i]
-		if ev.Agent == a.name() && ev.Module == trace.Comms && ev.Step == step && ev.Kind == "message" {
+		if ev.Agent == a.label && ev.Module == trace.Comms && ev.Step == step && ev.Kind == "message" {
 			ev.Useful = useful
 			return
 		}

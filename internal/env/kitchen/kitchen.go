@@ -12,6 +12,7 @@ package kitchen
 
 import (
 	"fmt"
+	"strconv"
 
 	"embench/internal/core"
 	"embench/internal/modules/execution"
@@ -52,10 +53,11 @@ var (
 type Order struct {
 	ID       int
 	Recipe   Recipe
-	Arrival  int // step it became visible
-	Deadline int // serve by this step to count
-	Stage    int // next stage index to perform
-	served   int // step served, -1 if not
+	Arrival  int    // step it became visible
+	Deadline int    // serve by this step to count
+	Stage    int    // next stage index to perform
+	served   int    // step served, -1 if not
+	key      string // memory key of the order's board fact, "order:<ID>"
 }
 
 // Done reports whether the order completed all stages.
@@ -157,7 +159,8 @@ func New(cfg Config, src *rng.Source) *Game {
 		if i >= 2 {
 			arrival = (i - 1) * interval
 		}
-		o := &Order{ID: i, Recipe: r, Arrival: arrival, Deadline: arrival + deadline, served: -1}
+		o := &Order{ID: i, Recipe: r, Arrival: arrival, Deadline: arrival + deadline, served: -1,
+			key: "order:" + strconv.Itoa(i)}
 		if arrival == 0 {
 			g.orders = append(g.orders, o)
 		} else {
@@ -272,7 +275,7 @@ func (g *Game) Observe(agent int) core.Observation {
 		}
 		obs.Entities++
 		add(memory.Record{
-			Step: g.step, Kind: memory.Observation, Key: fmt.Sprintf("order:%d", o.ID),
+			Step: g.step, Kind: memory.Observation, Key: o.key,
 			Payload: OrderFact{ID: o.ID, Recipe: o.Recipe.Name, Stages: len(o.Recipe.Stages), Deadline: o.Deadline},
 			Tokens:  orderFactTokens,
 		})

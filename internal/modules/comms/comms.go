@@ -8,11 +8,7 @@
 // the novelty accounting here.
 package comms
 
-import (
-	"reflect"
-
-	"embench/internal/modules/memory"
-)
+import "embench/internal/modules/memory"
 
 // Broadcast addresses a message to every other agent.
 const Broadcast = -1
@@ -86,7 +82,7 @@ func Novel(m Message, receiver *memory.Store) bool {
 		if !ok {
 			return true
 		}
-		if prev.Step <= r.Step && !reflect.DeepEqual(prev.Payload, r.Payload) {
+		if prev.Step <= r.Step && !memory.SamePayload(prev.Payload, r.Payload) {
 			return true
 		}
 	}

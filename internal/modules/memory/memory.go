@@ -7,6 +7,7 @@ package memory
 import (
 	"reflect"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -96,7 +97,7 @@ func (s *Store) Add(rec Record) {
 		if i, ok := s.latest[rec.Key]; ok {
 			prev := s.records[i]
 			if prev.Step <= rec.Step && rec.Step-prev.Step < dedupWindow &&
-				reflect.DeepEqual(prev.Payload, rec.Payload) {
+				SamePayload(prev.Payload, rec.Payload) {
 				return
 			}
 		}
@@ -147,26 +148,46 @@ type Retrieval struct {
 
 // Retrieve returns the records within the capacity window as of
 // currentStep, newest-last, with the token and latency cost of
-// serializing them into context.
+// serializing them into context. Records is a fresh slice of exactly the
+// window's length (nil when the window is empty), so callers may keep it.
 func (s *Store) Retrieve(currentStep int) Retrieval {
+	n, tokens := s.window(currentStep)
 	var out []Record
-	cut := -1
-	if s.capacity > 0 {
-		cut = currentStep - s.capacity
+	if n > 0 {
+		out = s.appendWindow(make([]Record, 0, n), currentStep)
 	}
-	if s.capacity != 0 {
-		for _, r := range s.records {
-			if r.Step > cut || s.capacity < 0 {
-				out = append(out, r)
-			}
+	return Retrieval{
+		Records: out,
+		Tokens:  tokens,
+		Latency: retrievalBase + time.Duration(n)*retrievalPerRecord,
+	}
+}
+
+// inWindow reports whether a record of the given step is retrievable at
+// currentStep.
+func (s *Store) inWindow(step, currentStep int) bool {
+	return s.capacity < 0 || s.capacity > 0 && step > currentStep-s.capacity
+}
+
+// window counts the records and tokens Retrieve would return.
+func (s *Store) window(currentStep int) (n, tokens int) {
+	for i := range s.records {
+		if r := &s.records[i]; s.inWindow(r.Step, currentStep) {
+			n++
+			tokens += r.Tokens
 		}
 	}
-	ret := Retrieval{Records: out}
-	for _, r := range out {
-		ret.Tokens += r.Tokens
+	return n, tokens
+}
+
+// appendWindow appends the retrievable records to dst in store order.
+func (s *Store) appendWindow(dst []Record, currentStep int) []Record {
+	for i := range s.records {
+		if s.inWindow(s.records[i].Step, currentStep) {
+			dst = append(dst, s.records[i])
+		}
 	}
-	ret.Latency = retrievalBase + time.Duration(len(out))*retrievalPerRecord
-	return ret
+	return dst
 }
 
 // HasKey reports whether any retained record carries the key.
@@ -255,21 +276,19 @@ func (d *Dual) AddAll(recs []Record) {
 // window. Long-term content is capped at LongBudget tokens regardless of
 // how much static knowledge accumulated.
 func (d *Dual) Retrieve(currentStep int) Retrieval {
-	long := d.Long.Retrieve(currentStep)
-	short := d.Short.Retrieve(currentStep)
-	tokens := long.Tokens
+	nLong, tokens := d.Long.window(currentStep)
+	nShort, shortTokens := d.Short.window(currentStep)
 	if d.LongBudget > 0 && tokens > d.LongBudget {
 		tokens = d.LongBudget
 	}
-	recs := make([]Record, 0, len(long.Records)+len(short.Records))
-	recs = append(recs, long.Records...)
-	recs = append(recs, short.Records...)
+	recs := d.Long.appendWindow(make([]Record, 0, nLong+nShort), currentStep)
+	recs = d.Short.appendWindow(recs, currentStep)
 	return Retrieval{
 		Records: recs,
-		Tokens:  tokens + short.Tokens,
+		Tokens:  tokens + shortTokens,
 		// The long-term summary is precomputed; only the short window is
 		// scanned at plan time.
-		Latency: retrievalBase + time.Duration(len(short.Records))*retrievalPerRecord,
+		Latency: retrievalBase + time.Duration(nShort)*retrievalPerRecord,
 	}
 }
 
@@ -277,4 +296,57 @@ func (d *Dual) Retrieve(currentStep int) Retrieval {
 func (d *Dual) Clear() {
 	d.Long.Clear()
 	d.Short.Clear()
+}
+
+// SamePayload reports whether two record payloads are equal, with
+// reflect.DeepEqual's result. Payloads of a comparable type with no
+// pointer, interface, slice, map, chan or func inside — ints, strings,
+// flat fact structs, which is what domains mostly emit — compare with ==,
+// which agrees with DeepEqual on such values; any other payload falls back
+// to DeepEqual.
+func SamePayload(a, b any) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	t := reflect.TypeOf(a)
+	if t != reflect.TypeOf(b) {
+		return false
+	}
+	if flatType(t) {
+		return a == b
+	}
+	return reflect.DeepEqual(a, b)
+}
+
+// flatKinds caches flatType per payload type.
+var flatKinds sync.Map // reflect.Type -> bool
+
+// flatType reports whether == on values of t is exactly DeepEqual: t is
+// built from booleans, numbers and strings through arrays and structs only.
+func flatType(t reflect.Type) bool {
+	if v, ok := flatKinds.Load(t); ok {
+		return v.(bool)
+	}
+	flat := computeFlat(t)
+	flatKinds.Store(t, flat)
+	return flat
+}
+
+func computeFlat(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128, reflect.String:
+		return true
+	case reflect.Array:
+		return computeFlat(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if !computeFlat(t.Field(i).Type) {
+				return false
+			}
+		}
+		return true
+	}
+	return false
 }

@@ -2,8 +2,11 @@ package memory
 
 import (
 	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func rec(step int, kind Kind, key string, tokens int) Record {
@@ -213,5 +216,171 @@ func TestDualAddAll(t *testing.T) {
 	})
 	if d.Long.Len() != 2 || d.Short.Len() != 1 {
 		t.Fatalf("AddAll routing wrong: long=%d short=%d", d.Long.Len(), d.Short.Len())
+	}
+}
+
+// seedRetrieve is Store.Retrieve as first written, appending the window
+// into a growing slice; the differential tests hold the exact-size version
+// to it.
+func seedRetrieve(s *Store, currentStep int) Retrieval {
+	var out []Record
+	cut := -1
+	if s.capacity > 0 {
+		cut = currentStep - s.capacity
+	}
+	if s.capacity != 0 {
+		for _, r := range s.records {
+			if r.Step > cut || s.capacity < 0 {
+				out = append(out, r)
+			}
+		}
+	}
+	ret := Retrieval{Records: out}
+	for _, r := range out {
+		ret.Tokens += r.Tokens
+	}
+	ret.Latency = retrievalBase + time.Duration(len(out))*retrievalPerRecord
+	return ret
+}
+
+// seedDualRetrieve is Dual.Retrieve as first written, over seedRetrieve.
+func seedDualRetrieve(d *Dual, currentStep int) Retrieval {
+	long := seedRetrieve(d.Long, currentStep)
+	short := seedRetrieve(d.Short, currentStep)
+	tokens := long.Tokens
+	if d.LongBudget > 0 && tokens > d.LongBudget {
+		tokens = d.LongBudget
+	}
+	recs := make([]Record, 0, len(long.Records)+len(short.Records))
+	recs = append(recs, long.Records...)
+	recs = append(recs, short.Records...)
+	return Retrieval{
+		Records: recs,
+		Tokens:  tokens + short.Tokens,
+		Latency: retrievalBase + time.Duration(len(short.Records))*retrievalPerRecord,
+	}
+}
+
+// randomRecord draws a record whose step may run behind the clock, as
+// relayed dialogue does.
+func randomRecord(r *rand.Rand, step int) Record {
+	return Record{
+		Step:    step - r.Intn(4),
+		Kind:    Kind(r.Intn(3)),
+		Key:     fmt.Sprintf("k%d", r.Intn(12)),
+		Payload: r.Intn(3),
+		Tokens:  1 + r.Intn(20),
+		Static:  r.Intn(8) == 0,
+		Routine: r.Intn(6) == 0,
+	}
+}
+
+func TestRetrieveMatchesSeed(t *testing.T) {
+	r := rand.New(rand.NewSource(21))
+	for trial := 0; trial < 120; trial++ {
+		s := NewStore(r.Intn(12) - 2)
+		d := NewDual(r.Intn(10)-1, r.Intn(200))
+		steps := 1 + r.Intn(60)
+		for step := 0; step < steps; step++ {
+			for k := r.Intn(40); k > 0; k-- {
+				rc := randomRecord(r, step)
+				s.Add(rc)
+				d.Add(rc)
+			}
+			if got, want := s.Retrieve(step), seedRetrieve(s, step); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d step %d cap %d: Store.Retrieve = %+v, want %+v", trial, step, s.capacity, got, want)
+			}
+			if got, want := d.Retrieve(step), seedDualRetrieve(d, step); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d step %d: Dual.Retrieve = %+v, want %+v", trial, step, got, want)
+			}
+		}
+	}
+}
+
+func TestRetrieveAllocatesOnce(t *testing.T) {
+	s := NewStore(8)
+	d := NewDual(4, 100)
+	for step := 0; step < 30; step++ {
+		for k := 0; k < 20; k++ {
+			rc := rec(step, Kind(k%3), fmt.Sprintf("k%d:%d", step, k), 5)
+			rc.Static = k == 0
+			s.Add(rc)
+			d.Add(rc)
+		}
+	}
+	if n := len(s.Retrieve(29).Records); n != 160 {
+		t.Fatalf("window holds %d records, want 160", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { s.Retrieve(29) }); n != 1 {
+		t.Fatalf("Store.Retrieve allocs/run = %v, want exactly 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { d.Retrieve(29) }); n != 1 {
+		t.Fatalf("Dual.Retrieve allocs/run = %v, want exactly 1", n)
+	}
+	if ret := s.Retrieve(29); cap(ret.Records) != len(ret.Records) {
+		t.Fatalf("Records cap %d, len %d: want exactly sized", cap(ret.Records), len(ret.Records))
+	}
+}
+
+// payloadSamples covers every kind SamePayload distinguishes: flat values
+// (== path), composite ones (DeepEqual path), nil and mixed types.
+func payloadSamples() []any {
+	type flat struct {
+		ID   int
+		Name string
+		At   [2]int
+		V    float64
+	}
+	type deep struct {
+		ID  int
+		Tag *int
+	}
+	one, alsoOne := 1, 1
+	nan := 0.0
+	nan /= nan
+	return []any{
+		nil, 0, 1, int64(1), "", "a", "b", true, false, 2.5, nan,
+		flat{1, "x", [2]int{1, 2}, 0.5}, flat{1, "x", [2]int{1, 2}, 0.5}, flat{1, "x", [2]int{2, 1}, 0.5},
+		flat{V: nan}, [3]string{"a", "b", "c"},
+		[]int{1, 2}, []int{1, 2}, []int(nil), map[string]int{"a": 1}, map[string]int{"a": 1}, map[string]int{},
+		deep{1, &one}, deep{1, &alsoOne}, deep{1, nil}, &one, &alsoOne,
+		struct{ X any }{1}, struct{ X any }{1}, struct{ X any }{"1"},
+	}
+}
+
+func TestSamePayloadMatchesDeepEqual(t *testing.T) {
+	vals := payloadSamples()
+	for i, a := range vals {
+		for j, b := range vals {
+			if got, want := SamePayload(a, b), reflect.DeepEqual(a, b); got != want {
+				t.Errorf("SamePayload(#%d %#v, #%d %#v) = %v, DeepEqual says %v", i, a, j, b, got, want)
+			}
+		}
+	}
+}
+
+func TestSamePayloadFlatPathAllocatesNothing(t *testing.T) {
+	type fact struct {
+		ID   int
+		Name string
+	}
+	a, b := any(fact{3, "soup"}), any(fact{3, "soup"})
+	SamePayload(a, b) // fill the type cache
+	if n := testing.AllocsPerRun(100, func() { SamePayload(a, b) }); n != 0 {
+		t.Fatalf("SamePayload on a flat struct allocs/run = %v, want 0", n)
+	}
+}
+
+func BenchmarkRetrieve(b *testing.B) {
+	s := NewStore(8)
+	for step := 0; step < 30; step++ {
+		for k := 0; k < 20; k++ {
+			s.Add(rec(step, Kind(k%3), fmt.Sprintf("k%d:%d", step, k), 5))
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Retrieve(29)
 	}
 }

@@ -11,7 +11,6 @@
 package multiagent
 
 import (
-	"reflect"
 	"time"
 
 	"embench/internal/core"
@@ -196,7 +195,7 @@ func hasEquivalent(s *memory.Store, r memory.Record) bool {
 	if !ok || prev.Step < r.Step {
 		return false
 	}
-	return reflect.DeepEqual(prev.Payload, r.Payload)
+	return memory.SamePayload(prev.Payload, r.Payload)
 }
 
 // deliver routes messages to their recipients: checks novelty against each

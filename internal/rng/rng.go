@@ -9,9 +9,8 @@
 package rng
 
 import (
-	"fmt"
-	"hash/fnv"
 	"math/rand"
+	"strconv"
 )
 
 // Source derives independent sub-streams from a root seed.
@@ -27,19 +26,52 @@ func (s *Source) Seed() uint64 { return s.seed }
 
 // Stream returns a deterministic *rand.Rand for the given name. Repeated
 // calls with the same name return fresh generators with identical sequences.
+// The generator's state is built on its first draw, so a stream that is
+// never drawn from costs a few words instead of math/rand's 4.9 KB.
 func (s *Source) Stream(name string) *rand.Rand {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d/%s", s.seed, name)
-	return rand.New(rand.NewSource(int64(h.Sum64())))
+	return rand.New(&lazySource{seed: int64(s.derive(name))})
 }
 
 // Sub returns a derived Source, useful for giving each episode its own
 // namespace: rng.New(7).Sub("episode-3").Stream("planner").
 func (s *Source) Sub(name string) *Source {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d/%s", s.seed, name)
-	return &Source{seed: h.Sum64()}
+	return &Source{seed: s.derive(name)}
 }
+
+// derive hashes "<seed>/<name>" with 64-bit FNV-1a.
+func (s *Source) derive(name string) uint64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	var digits [20]byte
+	h := uint64(offset64)
+	for _, c := range strconv.AppendUint(digits[:0], s.seed, 10) {
+		h = (h ^ uint64(c)) * prime64
+	}
+	h = (h ^ '/') * prime64
+	for i := 0; i < len(name); i++ {
+		h = (h ^ uint64(name[i])) * prime64
+	}
+	return h
+}
+
+// lazySource is rand.NewSource(seed), built on the first draw.
+type lazySource struct {
+	seed int64
+	src  rand.Source64
+}
+
+func (l *lazySource) source() rand.Source64 {
+	if l.src == nil {
+		l.src = rand.NewSource(l.seed).(rand.Source64)
+	}
+	return l.src
+}
+
+func (l *lazySource) Int63() int64    { return l.source().Int63() }
+func (l *lazySource) Uint64() uint64  { return l.source().Uint64() }
+func (l *lazySource) Seed(seed int64) { l.seed, l.src = seed, nil }
 
 // Stream wraps *rand.Rand with the helpers the suite uses.
 type Stream struct {
