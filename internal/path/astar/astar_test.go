@@ -211,27 +211,6 @@ func TestPlanMatchesMapOracle(t *testing.T) {
 	}
 }
 
-// TestPlanReusesWorkspaceAcrossGridSizes alternates small and large grids
-// so that a pooled workspace sized for one serves the other with stale
-// stamps from earlier queries.
-func TestPlanReusesWorkspaceAcrossGridSizes(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	for q := 0; q < 400; q++ {
-		n := 3 + r.Intn(4)
-		if q%2 == 1 {
-			n = 30 + r.Intn(10)
-		}
-		g := world.NewGrid(n, n)
-		for i := 0; i < n*n/4; i++ {
-			g.SetBlocked(world.C(r.Intn(n), r.Intn(n)), true)
-		}
-		start, goal := world.C(r.Intn(n), r.Intn(n)), world.C(r.Intn(n), r.Intn(n))
-		if got, want := Plan(g, start, goal), planMap(g, start, goal); !reflect.DeepEqual(got, want) {
-			t.Fatalf("query %d: got %+v, want %+v", q, got, want)
-		}
-	}
-}
-
 func TestPlanEpochWrapClearsStamps(t *testing.T) {
 	g := world.NewGrid(6, 6)
 	g.BlockRect(3, 0, 3, 4)

@@ -226,11 +226,3 @@ func BenchmarkNewStream(b *testing.B) {
 		src.NewStream("agent0/sense")
 	}
 }
-
-func BenchmarkNewStreamFirstDraw(b *testing.B) {
-	src := New(3)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		src.NewStream("agent0/sense").Int63()
-	}
-}
