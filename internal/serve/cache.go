@@ -43,38 +43,41 @@ const (
 // lookup touches all prefixes of the prompt, and eviction removes the
 // least-recently-touched CHAIN — evicting a prefix cascades to its resident
 // extensions, so no suffix entry ever outlives (or hides capacity behind)
-// an evicted parent. Recency order lives in a lazy-deletion queue: touches
-// append, eviction pops from the front skipping entries whose tick is
-// stale, and the queue compacts once garbage dominates — amortized O(1) per
-// touch regardless of capacity.
+// an evicted parent.
+//
+// The layout holds no pointers: index maps each resident key to a slot of
+// the slots arena, freed slots are recycled through a free list, and the
+// LRU order and each entry's children are intrusive lists of slot numbers.
+// Touching, inserting and evicting are O(1) per entry and allocate nothing
+// once the arena and index have grown to the working set, and the garbage
+// collector has nothing to scan in either.
 type prefixCache struct {
 	capEntries int // entry-count budget (deprecated model); 0 = unbounded
 	capTokens  int // live-token budget; 0 = unbounded
-	entries    map[uint64]*cacheEntry
-	order      []lruEvent // touch events, oldest first; stale ones skipped
-	tick       int
-	liveTokens int // sum of resident entries' sizes
+	index      map[uint64]int32
+	slots      []cacheEntry
+	free       int32 // head of the free-slot list, linked through next
+	head, tail int32 // LRU list: head is the least recently touched
+	liveTokens int   // sum of resident entries' sizes
 	// Cumulative memory-pressure statistics (metrics.Serving rollup).
 	peakTokens    int // high-water mark of liveTokens
 	evictedTokens int // tokens removed by capacity eviction
 }
 
-// cacheEntry is one resident prefix: the token size of its last section,
-// its parent prefix key, and its resident extensions. The kids list is
-// exact — a child can only be evicted together with its parent chain, so a
-// resident entry's kids are always resident (no stale keys, no duplicates).
-type cacheEntry struct {
-	parent uint64
-	size   int
-	tick   int
-	kids   []uint64
-}
+// noSlot terminates every slot list and marks a root entry's parent.
+const noSlot int32 = -1
 
-// lruEvent is one touch of a prefix key; it is stale when the key has been
-// touched again (or evicted) since.
-type lruEvent struct {
-	key  uint64
-	tick int
+// cacheEntry is one prefix slot: its key, the token size of its last
+// section, its parent's slot, its LRU neighbours (prev/next), and its
+// children as a sibling list (first kid, previous and next sibling). The
+// kid list is exact — a child can only be evicted together with its parent
+// chain, so a resident entry's kids are always resident.
+type cacheEntry struct {
+	key            uint64
+	size           int
+	parent         int32
+	prev, next     int32
+	kid, psib, sib int32
 }
 
 // newPrefixCache builds a cache bounded by entry count and/or live tokens;
@@ -96,7 +99,10 @@ func newPrefixCache(capEntries, capTokens int) *prefixCache {
 	return &prefixCache{
 		capEntries: capEntries,
 		capTokens:  capTokens,
-		entries:    make(map[uint64]*cacheEntry, hint),
+		index:      make(map[uint64]int32, hint),
+		free:       noSlot,
+		head:       noSlot,
+		tail:       noSlot,
 	}
 }
 
@@ -184,7 +190,7 @@ func (c *prefixCache) matchKey(k promptKey) int {
 	}
 	cached := 0
 	for _, s := range k.secs {
-		if _, ok := c.entries[s.key]; !ok {
+		if _, ok := c.index[s.key]; !ok {
 			break
 		}
 		cached += s.size
@@ -231,7 +237,7 @@ func (c *prefixCache) batchGrowth(keys []promptKey, seen map[uint64]bool) int {
 				continue
 			}
 			seen[s.key] = true
-			if _, ok := c.entries[s.key]; !ok {
+			if _, ok := c.index[s.key]; !ok {
 				growth += s.size
 			}
 		}
@@ -263,83 +269,125 @@ func (c *prefixCache) insertKey(k promptKey) {
 	if c == nil {
 		return
 	}
-	parent := fnvOffset
+	parent := noSlot
 	for _, s := range k.secs {
-		c.tick++
-		e, ok := c.entries[s.key]
-		if !ok {
-			e = &cacheEntry{parent: parent, size: s.size}
-			c.entries[s.key] = e
+		i, ok := c.index[s.key]
+		if ok {
+			c.unlinkLRU(i)
+		} else {
+			i = c.alloc()
+			c.slots[i] = cacheEntry{key: s.key, size: s.size, parent: parent, kid: noSlot, psib: noSlot, sib: noSlot}
+			c.index[s.key] = i
 			c.liveTokens += s.size
 			// The parent is always resident here: the chain is inserted
 			// front-to-back, so it was created or touched one iteration ago.
-			if pe, pok := c.entries[parent]; pok {
-				pe.kids = append(pe.kids, s.key)
+			if parent != noSlot {
+				c.linkKid(parent, i)
 			}
 		}
-		e.tick = c.tick
-		c.order = append(c.order, lruEvent{key: s.key, tick: c.tick})
-		parent = s.key
+		c.pushLRU(i)
+		parent = i
 	}
 	c.evictOver()
-	// Compact once stale events dominate, keeping memory proportional to
-	// the live entry count. Live events already sit in touch order, so
-	// filtering preserves LRU order deterministically.
-	if len(c.order) > 2*len(c.entries)+64 {
-		live := c.order[:0]
-		for _, ev := range c.order {
-			if e, ok := c.entries[ev.key]; ok && e.tick == ev.tick {
-				live = append(live, ev)
-			}
-		}
-		c.order = live
-	}
 	if c.liveTokens > c.peakTokens {
 		c.peakTokens = c.liveTokens
 	}
 }
 
+// alloc takes a slot from the free list, growing the arena when it is empty.
+func (c *prefixCache) alloc() int32 {
+	if i := c.free; i != noSlot {
+		c.free = c.slots[i].next
+		return i
+	}
+	c.slots = append(c.slots, cacheEntry{})
+	return int32(len(c.slots) - 1)
+}
+
+// pushLRU appends slot i at the most-recently-touched end of the LRU list.
+func (c *prefixCache) pushLRU(i int32) {
+	e := &c.slots[i]
+	e.prev, e.next = c.tail, noSlot
+	if c.tail == noSlot {
+		c.head = i
+	} else {
+		c.slots[c.tail].next = i
+	}
+	c.tail = i
+}
+
+// unlinkLRU removes slot i from the LRU list.
+func (c *prefixCache) unlinkLRU(i int32) {
+	e := &c.slots[i]
+	if e.prev == noSlot {
+		c.head = e.next
+	} else {
+		c.slots[e.prev].next = e.next
+	}
+	if e.next == noSlot {
+		c.tail = e.prev
+	} else {
+		c.slots[e.next].prev = e.prev
+	}
+}
+
+// linkKid makes slot i the first child of slot p.
+func (c *prefixCache) linkKid(p, i int32) {
+	pe, e := &c.slots[p], &c.slots[i]
+	e.sib = pe.kid
+	if pe.kid != noSlot {
+		c.slots[pe.kid].psib = i
+	}
+	pe.kid = i
+}
+
+// unlinkKid removes slot i from its parent's child list.
+func (c *prefixCache) unlinkKid(i int32) {
+	e := &c.slots[i]
+	if e.parent == noSlot {
+		return
+	}
+	if e.psib == noSlot {
+		c.slots[e.parent].kid = e.sib
+	} else {
+		c.slots[e.psib].sib = e.sib
+	}
+	if e.sib != noSlot {
+		c.slots[e.sib].psib = e.psib
+	}
+}
+
 // evictOver removes least-recently-touched chains until both budgets hold.
-// Each pop evicts the stale-skipped front entry TOGETHER with its resident
-// extensions: a suffix is unreachable (matchKey stops at its missing
-// parent) yet still holds KV memory, so leaving it behind — the seed's
-// orphaned-suffix bug — both leaked capacity and corrupted later matches
-// when the parent was re-inserted around a stale suffix.
+// Each step evicts the LRU head TOGETHER with its resident extensions: a
+// suffix is unreachable (matchKey stops at its missing parent) yet still
+// holds KV memory, so leaving it behind — the seed's orphaned-suffix bug —
+// both leaked capacity and corrupted later matches when the parent was
+// re-inserted around a stale suffix.
 func (c *prefixCache) evictOver() {
-	for (c.capEntries > 0 && len(c.entries) > c.capEntries) ||
+	for (c.capEntries > 0 && len(c.index) > c.capEntries) ||
 		(c.capTokens > 0 && c.liveTokens > c.capTokens) {
-		ev := c.order[0]
-		c.order = c.order[1:]
-		e, ok := c.entries[ev.key]
-		if !ok || e.tick != ev.tick {
-			continue // stale event: key evicted or touched since
-		}
-		// Unlink from the surviving parent so a later re-insert of this
-		// chain cannot leave a duplicate kid reference behind.
-		if pe, pok := c.entries[e.parent]; pok {
-			for i, kid := range pe.kids {
-				if kid == ev.key {
-					pe.kids[i] = pe.kids[len(pe.kids)-1]
-					pe.kids = pe.kids[:len(pe.kids)-1]
-					break
-				}
-			}
-		}
-		c.evictChain(ev.key, e)
+		// Unlink from the surviving parent first: the evicted subtree's own
+		// links die with it.
+		c.unlinkKid(c.head)
+		c.evictChain(c.head)
 	}
 }
 
 // evictChain removes an entry and, recursively, its resident extensions —
 // the cascade that keeps every resident key's parent chain resident.
-func (c *prefixCache) evictChain(key uint64, e *cacheEntry) {
-	delete(c.entries, key)
+func (c *prefixCache) evictChain(i int32) {
+	for k := c.slots[i].kid; k != noSlot; {
+		next := c.slots[k].sib
+		c.evictChain(k)
+		k = next
+	}
+	e := &c.slots[i]
+	delete(c.index, e.key)
 	c.liveTokens -= e.size
 	c.evictedTokens += e.size
-	for _, kid := range e.kids {
-		if ke, ok := c.entries[kid]; ok {
-			c.evictChain(kid, ke)
-		}
-	}
+	c.unlinkLRU(i)
+	e.next = c.free
+	c.free = i
 }
 
 // flush empties the cache, pricing every live token as a capacity
@@ -353,8 +401,9 @@ func (c *prefixCache) flush() {
 	}
 	c.evictedTokens += c.liveTokens
 	c.liveTokens = 0
-	clear(c.entries)
-	c.order = c.order[:0]
+	clear(c.index)
+	c.slots = c.slots[:0]
+	c.free, c.head, c.tail = noSlot, noSlot, noSlot
 }
 
 // insert is insertKey over an unmemoized prompt (tests and one-shot use).

@@ -18,11 +18,11 @@ func benchPrompt(agent string, step int) prompt.Prompt {
 	)
 }
 
-// BenchmarkPrefixChain compares the seed request path — rehashing the
-// prompt's prefix chain once per replica probe plus once at admission —
-// against the memoized path that hashes once per request and shares the
-// promptKey across routing probes and admission. This is the satellite
-// win: per request, R+1 full FNV walks collapse to one.
+// BenchmarkPrefixChain compares rehashing the prompt's prefix chain once
+// per replica probe plus once at admission against the memoized path the
+// request path uses, which hashes once per request and shares the
+// promptKey across routing probes and admission: per request, R+1 full FNV
+// walks collapse to one.
 func BenchmarkPrefixChain(b *testing.B) {
 	const replicas = 4
 	caches := make([]*prefixCache, replicas)
@@ -60,4 +60,36 @@ func BenchmarkPrefixChain(b *testing.B) {
 			caches[i%replicas].insertKey(k)
 		}
 	})
+}
+
+// churnKeys returns n single-history prompt keys that share a 200-token
+// preamble and carry distinct 100-token histories, so cycling through more
+// of them than a budget holds misses and evicts on every insert.
+func churnKeys(n int) []promptKey {
+	keys := make([]promptKey, n)
+	for i := range keys {
+		keys[i] = chainKeys(prompt.New(
+			prompt.Section{Name: "system", Tokens: 200},
+			prompt.Section{Name: fmt.Sprintf("hist-%d", i), Tokens: 100},
+		))
+	}
+	return keys
+}
+
+// BenchmarkPrefixCacheChurn measures the eviction-bound steady state of a
+// full token budget: every iteration matches and inserts a history the
+// cache has not held for a long time, evicting the oldest one.
+func BenchmarkPrefixCacheChurn(b *testing.B) {
+	keys := churnKeys(4096)
+	c := newPrefixCache(0, 200+100*256)
+	for _, k := range keys {
+		c.insertKey(k)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := keys[i%len(keys)]
+		_ = c.matchKey(k)
+		c.insertKey(k)
+	}
 }

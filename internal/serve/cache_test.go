@@ -10,58 +10,73 @@ import (
 
 // checkCacheInvariants asserts the structural contract of the prefix cache:
 //
-//  1. parent-chain residency — no suffix entry outlives its prefix (the
+//  1. index and arena agree — every indexed key names a slot holding that
+//     key, and the free list holds exactly the other slots,
+//  2. parent-chain residency — no suffix entry outlives its prefix (the
 //     orphaned-suffix regression),
-//  2. token accounting — liveTokens is exactly the sum of resident entry
+//  3. token accounting — liveTokens is exactly the sum of resident entry
 //     sizes and never exceeds the token budget,
-//  3. entry accounting — the entry count never exceeds the entry budget,
-//  4. kid links — every resident entry's kids list names exactly its
-//     resident children, with no stale keys or duplicates,
-//  5. LRU queue — order ticks are strictly increasing and every resident
-//     entry's last touch is present as a live event.
+//  4. entry accounting — the entry count never exceeds the entry budget,
+//  5. kid links — every resident entry's sibling list names exactly its
+//     resident children, with no stale slots or duplicates,
+//  6. LRU list — a consistent doubly linked list from head to tail that
+//     covers exactly the resident entries.
 func checkCacheInvariants(t *testing.T, c *prefixCache) {
 	t.Helper()
 	if c == nil {
 		return
 	}
+	resident := func(i int32) bool {
+		j, ok := c.index[c.slots[i].key]
+		return ok && j == i
+	}
 	tokens := 0
-	for key, e := range c.entries {
-		tokens += e.size
-		if e.parent != fnvOffset {
-			if _, ok := c.entries[e.parent]; !ok {
-				t.Fatalf("orphaned suffix: entry %x resident but parent %x evicted", key, e.parent)
-			}
+	for key, i := range c.index {
+		if i < 0 || int(i) >= len(c.slots) || c.slots[i].key != key {
+			t.Fatalf("index maps %x to slot %d, which does not hold it", key, i)
 		}
-		seen := map[uint64]bool{}
-		for _, kid := range e.kids {
-			if seen[kid] {
-				t.Fatalf("duplicate kid link %x under %x", kid, key)
+		e := c.slots[i]
+		tokens += e.size
+		if e.parent != noSlot && !resident(e.parent) {
+			t.Fatalf("orphaned suffix: entry %x resident but parent slot %d evicted", key, e.parent)
+		}
+	}
+	free := 0
+	for i := c.free; i != noSlot; i = c.slots[i].next {
+		if resident(i) {
+			t.Fatalf("resident slot %d is on the free list", i)
+		}
+		if free++; free > len(c.slots) {
+			t.Fatal("free list cycles")
+		}
+	}
+	if free+len(c.index) != len(c.slots) {
+		t.Fatalf("%d free + %d resident slots != arena of %d", free, len(c.index), len(c.slots))
+	}
+	linked := map[int32]bool{}
+	for key, i := range c.index {
+		prev := noSlot
+		for k := c.slots[i].kid; k != noSlot; k = c.slots[k].sib {
+			if linked[k] {
+				t.Fatalf("duplicate kid link %d under %x", k, key)
 			}
-			seen[kid] = true
-			ke, ok := c.entries[kid]
-			if !ok {
-				t.Fatalf("stale kid link %x under %x", kid, key)
+			linked[k] = true
+			if !resident(k) {
+				t.Fatalf("stale kid link %d under %x", k, key)
 			}
-			if ke.parent != key {
-				t.Fatalf("kid %x of %x points at parent %x", kid, key, ke.parent)
+			if c.slots[k].parent != i {
+				t.Fatalf("kid %d of %x points at parent slot %d", k, key, c.slots[k].parent)
 			}
+			if c.slots[k].psib != prev {
+				t.Fatalf("kid %d of %x has previous sibling %d, want %d", k, key, c.slots[k].psib, prev)
+			}
+			prev = k
 		}
 	}
 	// Reverse check: every resident child is linked from its parent.
-	for key, e := range c.entries {
-		if e.parent == fnvOffset {
-			continue
-		}
-		pe := c.entries[e.parent]
-		found := false
-		for _, kid := range pe.kids {
-			if kid == key {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Fatalf("entry %x resident but unlinked from parent %x", key, e.parent)
+	for key, i := range c.index {
+		if c.slots[i].parent != noSlot && !linked[i] {
+			t.Fatalf("entry %x resident but unlinked from parent slot %d", key, c.slots[i].parent)
 		}
 	}
 	if tokens != c.liveTokens {
@@ -70,27 +85,30 @@ func checkCacheInvariants(t *testing.T, c *prefixCache) {
 	if c.capTokens > 0 && c.liveTokens > c.capTokens {
 		t.Fatalf("live tokens %d exceed budget %d", c.liveTokens, c.capTokens)
 	}
-	if c.capEntries > 0 && len(c.entries) > c.capEntries {
-		t.Fatalf("entry count %d exceeds budget %d", len(c.entries), c.capEntries)
+	if c.capEntries > 0 && len(c.index) > c.capEntries {
+		t.Fatalf("entry count %d exceeds budget %d", len(c.index), c.capEntries)
 	}
 	if c.liveTokens > c.peakTokens {
 		t.Fatalf("peak %d below live %d", c.peakTokens, c.liveTokens)
 	}
-	last := -1
-	liveEvents := map[uint64]int{}
-	for _, ev := range c.order {
-		if ev.tick <= last {
-			t.Fatalf("order ticks not strictly increasing: %d after %d", ev.tick, last)
+	n, prev := 0, noSlot
+	for i := c.head; i != noSlot; i = c.slots[i].next {
+		if !resident(i) {
+			t.Fatalf("LRU list holds non-resident slot %d", i)
 		}
-		last = ev.tick
-		if e, ok := c.entries[ev.key]; ok && e.tick == ev.tick {
-			liveEvents[ev.key] = ev.tick
+		if c.slots[i].prev != prev {
+			t.Fatalf("LRU slot %d has prev %d, want %d", i, c.slots[i].prev, prev)
 		}
+		if n++; n > len(c.index) {
+			t.Fatalf("LRU list longer than the %d resident entries", len(c.index))
+		}
+		prev = i
 	}
-	for key, e := range c.entries {
-		if liveEvents[key] != e.tick {
-			t.Fatalf("entry %x (tick %d) has no live event in the LRU queue", key, e.tick)
-		}
+	if c.tail != prev {
+		t.Fatalf("LRU tail %d, list ends at %d", c.tail, prev)
+	}
+	if n != len(c.index) {
+		t.Fatalf("LRU list covers %d of %d resident entries", n, len(c.index))
 	}
 }
 
@@ -104,8 +122,8 @@ func TestCacheOrphanedSuffixRegression(t *testing.T) {
 		prompt.Section{Name: "hist", Tokens: 50},
 	)
 	c.insert(chain)
-	if len(c.entries) != 2 {
-		t.Fatalf("chain should occupy 2 entries, got %d", len(c.entries))
+	if len(c.index) != 2 {
+		t.Fatalf("chain should occupy 2 entries, got %d", len(c.index))
 	}
 	// Two fresh single-section prompts: capacity 3 forces eviction of the
 	// oldest entry — the chain's "system" root (tick 1; "hist" is tick 2).
@@ -114,9 +132,9 @@ func TestCacheOrphanedSuffixRegression(t *testing.T) {
 	if got := c.match(chain); got != 0 {
 		t.Fatalf("chain root evicted but match still covers %d tokens", got)
 	}
-	for key, e := range c.entries {
-		if e.parent != fnvOffset {
-			if _, ok := c.entries[e.parent]; !ok {
+	for key, i := range c.index {
+		if p := c.slots[i].parent; p != noSlot {
+			if j, ok := c.index[c.slots[p].key]; !ok || j != p {
 				t.Fatalf("suffix %x outlived its prefix — the seed bug", key)
 			}
 		}
@@ -124,8 +142,8 @@ func TestCacheOrphanedSuffixRegression(t *testing.T) {
 	// The seed evicted only the root, keeping the unreachable "hist"
 	// suffix resident: {hist, a, b} with one entry of dead capacity. The
 	// cascade removes the whole chain, leaving the two reachable roots.
-	if len(c.entries) != 2 {
-		t.Fatalf("resident entries = %d, want the 2 reachable roots", len(c.entries))
+	if len(c.index) != 2 {
+		t.Fatalf("resident entries = %d, want the 2 reachable roots", len(c.index))
 	}
 	checkCacheInvariants(t, c)
 }
@@ -154,16 +172,7 @@ func randomPrompt(r *rand.Rand) prompt.Prompt {
 // "live cached tokens never exceed budget across randomized insert/evict
 // sequences".
 func TestCacheRandomizedCapacityAccounting(t *testing.T) {
-	configs := []struct {
-		name               string
-		capEntries, capTok int
-	}{
-		{"token-budget", 0, 900},
-		{"entry-budget", 12, 0},
-		{"both-budgets", 16, 1200},
-		{"tight-tokens", 0, 300},
-	}
-	for _, cfg := range configs {
+	for _, cfg := range cacheBudgets {
 		t.Run(cfg.name, func(t *testing.T) {
 			r := rand.New(rand.NewSource(42))
 			c := newPrefixCache(cfg.capEntries, cfg.capTok)
@@ -180,10 +189,10 @@ func TestCacheRandomizedCapacityAccounting(t *testing.T) {
 	}
 }
 
-// TestCacheCompactionPreservesLRUOrder pins the lazy queue's compaction:
-// hammer one hot chain (generating stale events) interleaved with cold
-// singletons until compaction triggers, then check eviction still removes
-// the honestly least-recently-touched entry first.
+// TestCacheCompactionPreservesLRUOrder hammers one hot chain after a run
+// of cold singletons, then checks eviction still removes the honestly
+// least-recently-touched entry first — repeated touches must move the hot
+// entry to the tail, not leave it where it was first inserted.
 func TestCacheCompactionPreservesLRUOrder(t *testing.T) {
 	c := newPrefixCache(0, 1000)
 	hot := prompt.New(prompt.Section{Name: "hot", Tokens: 100})
@@ -194,12 +203,8 @@ func TestCacheCompactionPreservesLRUOrder(t *testing.T) {
 	for _, p := range cold {
 		c.insert(p)
 	}
-	before := len(c.order)
 	for i := 0; i < 500; i++ {
-		c.insert(hot) // stale events pile up; compaction must fire
-	}
-	if len(c.order) >= before+500 {
-		t.Fatal("compaction never fired")
+		c.insert(hot)
 	}
 	checkCacheInvariants(t, c)
 	// 8 cold (800 tokens) + hot (100) = 900 live. A 150-token insert must
@@ -236,9 +241,9 @@ func TestCacheIdentityAgreement(t *testing.T) {
 		}
 		shape.insertKey(ks)
 		content.insertKey(kc)
-		if shape.liveTokens != content.liveTokens || len(shape.entries) != len(content.entries) {
+		if shape.liveTokens != content.liveTokens || len(shape.index) != len(content.index) {
 			t.Fatalf("op %d: caches diverged: %d/%d tokens, %d/%d entries",
-				i, shape.liveTokens, content.liveTokens, len(shape.entries), len(content.entries))
+				i, shape.liveTokens, content.liveTokens, len(shape.index), len(content.index))
 		}
 	}
 	checkCacheInvariants(t, shape)
@@ -338,4 +343,30 @@ func TestCacheTokenBudgetEvictsDeadHistory(t *testing.T) {
 	if c.evictedTokens == 0 {
 		t.Fatal("budget never evicted anything")
 	}
+}
+
+// TestCacheSteadyStateAllocs pins the slot arena's purpose: once warm, a
+// token-budgeted cache that evicts on every insert allocates nothing per
+// match and insert.
+func TestCacheSteadyStateAllocs(t *testing.T) {
+	keys := churnKeys(64)
+	c := newPrefixCache(0, 200+100*8)
+	for i := 0; i < 10*len(keys); i++ {
+		c.insertKey(keys[i%len(keys)])
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		k := keys[i%len(keys)]
+		i++
+		_ = c.matchKey(k)
+		before := c.evictedTokens
+		c.insertKey(k)
+		if c.evictedTokens == before {
+			t.Fatal("insert did not evict; the budget no longer churns")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warm insertKey+matchKey allocated %v times per call, want 0", allocs)
+	}
+	checkCacheInvariants(t, c)
 }

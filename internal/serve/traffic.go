@@ -146,18 +146,19 @@ func burstPhases(src *rng.Source, horizon time.Duration, on, off time.Duration) 
 	return ws
 }
 
-// tenantPrompt builds tenant id's seq-th request prompt: the fleet-wide
-// system+task preamble, the tenant's persona, and a sliding-window history
-// tail — the SharedPreambleTrace section shapes, re-keyed per tenant.
+// tenantPrompt builds the seq-th request prompt of the tenant whose persona
+// section is named persona: the fleet-wide system+task preamble, the
+// tenant's persona, and a sliding-window history tail — the
+// SharedPreambleTrace section shapes, re-keyed per tenant.
 // Sections carry token counts only, so their content digests reduce to
 // (name, size) and the shape and content cache identities agree exactly;
 // the persona section's per-tenant name is what keeps each tenant's prefix
 // family distinct under both.
-func tenantPrompt(id, seq int) prompt.Prompt {
+func tenantPrompt(persona string, seq int) prompt.Prompt {
 	return prompt.New(
 		prompt.Section{Name: "system", Tokens: 500},
 		prompt.Section{Name: "task", Tokens: 200},
-		prompt.Section{Name: fmt.Sprintf("persona-t%d", id), Tokens: 700},
+		prompt.Section{Name: persona, Tokens: 700},
 		// History grows per exchange and truncates on a 12-turn window,
 		// like a production context manager; the modulus also bounds the
 		// distinct prefix variants a long stream creates.
@@ -213,11 +214,13 @@ func GenerateTraffic(t Traffic) []Request {
 	}
 	var reqs []Request
 	for id := 0; id < t.Tenants; id++ {
+		agent := fmt.Sprintf("t%d", id)
+		persona := "persona-" + agent
 		for seq, at := range tenantArrivals(t, id, src, bursts) {
 			reqs = append(reqs, Request{
-				Agent:     fmt.Sprintf("t%d", id),
+				Agent:     agent,
 				Arrival:   at,
-				Prompt:    tenantPrompt(id, seq),
+				Prompt:    tenantPrompt(persona, seq),
 				OutTokens: 60,
 			})
 		}
