@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"embench/internal/llm"
@@ -20,7 +21,7 @@ import (
 type MemStore interface {
 	Add(memory.Record)
 	AddAll([]memory.Record)
-	Retrieve(currentStep int) memory.Retrieval
+	Retrieve(currentStep, spare int) memory.Retrieval
 	Clear()
 }
 
@@ -45,7 +46,8 @@ type Agent struct {
 	ID  int
 	Cfg AgentConfig
 
-	label string // trace identity: "agent<ID>" or "central"
+	label  string // trace identity: "agent<ID>" or "central"
+	actKey string // memory key of the agent's action records, "act:<ID>"
 
 	Store      MemStore
 	planClient *llm.Client
@@ -82,7 +84,7 @@ func NewAgent(id int, cfg AgentConfig, src *rng.Source, clock *simclock.Clock, t
 		name = "central"
 	}
 	a := &Agent{
-		ID: id, Cfg: cfg, label: name, clock: clock, tracer: tracer,
+		ID: id, Cfg: cfg, label: name, actKey: "act:" + strconv.Itoa(id), clock: clock, tracer: tracer,
 		senseStream:   src.NewStream(name + "/sense"),
 		persistStream: src.NewStream(name + "/persist"),
 		reflStream:    src.NewStream(name + "/reflect"),
@@ -143,12 +145,15 @@ func (a *Agent) Sense(d Domain, step int) Observation {
 	return obs
 }
 
-// Retrieve reads memory into context, charging the retrieval cost.
-func (a *Agent) Retrieve(step int) memory.Retrieval {
+// Retrieve reads memory into context, charging the retrieval cost. spare
+// is the number of records the plan will list after memory (the
+// observation plus any extra records): the retrieval leaves room for them,
+// so planning builds its belief list in place (see beliefRecords).
+func (a *Agent) Retrieve(step, spare int) memory.Retrieval {
 	if a.Cfg.Memory.Capacity == 0 && !a.Cfg.Memory.Dual {
 		return memory.Retrieval{}
 	}
-	ret := a.Store.Retrieve(step)
+	ret := a.Store.Retrieve(step, spare)
 	lat := a.chargeOverlapped(ret.Latency)
 	a.tracer.Record(trace.Event{
 		Step: step, Agent: a.label, Module: trace.Memory, Kind: "retrieve", Latency: lat,
@@ -177,15 +182,19 @@ func (a *Agent) chargeOverlapped(lat time.Duration) time.Duration {
 	return lat
 }
 
-// beliefRecords merges retrieved memory with the live observation (and any
-// extra records such as freshly received messages). With memory disabled
-// the agent still perceives the present.
+// beliefRecords lists retrieved memory, then the live observation, then
+// any extra records such as freshly received messages. It appends in the
+// room Retrieve left past ret.Records, so retrieval and belief share one
+// allocation; ret.Records keeps its length and contents. Without that room
+// (memory disabled, or a caller that sized it short) it allocates the
+// list. With memory disabled the agent still perceives the present.
 func beliefRecords(ret memory.Retrieval, obs Observation, extra []memory.Record) []memory.Record {
-	recs := make([]memory.Record, 0, len(ret.Records)+len(obs.Records)+len(extra))
-	recs = append(recs, ret.Records...)
+	recs := ret.Records
+	if need := len(obs.Records) + len(extra); cap(recs)-len(recs) < need {
+		recs = append(make([]memory.Record, 0, len(recs)+need), recs...)
+	}
 	recs = append(recs, obs.Records...)
-	recs = append(recs, extra...)
-	return recs
+	return append(recs, extra...)
 }
 
 // splitTokens separates retrieved records into memory vs dialogue prompt
@@ -533,7 +542,7 @@ func (a *Agent) Remember(d Domain, step int, obs Observation, dialogue []memory.
 	a.Store.AddAll(dialogue)
 	if pr.Subgoal != nil {
 		a.Store.Add(memory.Record{
-			Step: step, Kind: memory.Action, Key: fmt.Sprintf("act:%d", a.ID),
+			Step: step, Kind: memory.Action, Key: a.actKey,
 			Payload: pr.Subgoal.ID(), Tokens: 10, Routine: true,
 		})
 		if cl, ok := d.(Claimer); ok && res.Achieved {

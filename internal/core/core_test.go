@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"embench/internal/llm"
@@ -184,7 +185,7 @@ func TestAgentRetrieveChargesMemoryModule(t *testing.T) {
 		Planner: perfectPlanner(), Memory: MemoryConfig{Capacity: 8}, Execution: true,
 	})
 	a.Store.Add(memory.Record{Step: 0, Key: "x", Tokens: 5})
-	ret := a.Retrieve(0)
+	ret := a.Retrieve(0, 0)
 	if len(ret.Records) != 1 {
 		t.Fatalf("retrieved %d records", len(ret.Records))
 	}
@@ -195,7 +196,7 @@ func TestAgentRetrieveChargesMemoryModule(t *testing.T) {
 
 func TestAgentRetrieveDisabledMemory(t *testing.T) {
 	a, clock, _ := newTestAgent(t, AgentConfig{Planner: perfectPlanner(), Execution: true})
-	ret := a.Retrieve(0)
+	ret := a.Retrieve(0, 0)
 	if len(ret.Records) != 0 || clock.Now() != 0 {
 		t.Fatal("disabled memory should be free and empty")
 	}
@@ -313,7 +314,7 @@ func TestReflectionCorrectsAndUnsticks(t *testing.T) {
 	if d.corrections != 1 {
 		t.Fatalf("corrections = %d, want 1", d.corrections)
 	}
-	ret := a.Store.Retrieve(0)
+	ret := a.Store.Retrieve(0, 0)
 	foundCorrection := false
 	for _, r := range ret.Records {
 		if r.Key == "corrected:wrong" {
@@ -397,7 +398,7 @@ func TestRememberStoresActionAndClaim(t *testing.T) {
 	d := newStub()
 	pr := PlanResult{Subgoal: stubGoal{"advance"}}
 	a.Remember(d, 0, d.Observe(0), nil, pr, execution.Result{Achieved: true})
-	ret := a.Store.Retrieve(0)
+	ret := a.Store.Retrieve(0, 0)
 	var hasAct, hasClaim, hasObs bool
 	for _, r := range ret.Records {
 		switch {
@@ -425,7 +426,7 @@ func TestResetClearsEpisodeState(t *testing.T) {
 	a.lastFailed = stubGoal{"wrong"}
 	a.planCooldown = 2
 	a.Reset()
-	if len(a.Store.Retrieve(0).Records) != 0 || a.lastFailed != nil || a.planCooldown != 0 {
+	if len(a.Store.Retrieve(0, 0).Records) != 0 || a.lastFailed != nil || a.planCooldown != 0 {
 		t.Fatal("Reset incomplete")
 	}
 }
@@ -474,5 +475,85 @@ func TestMultipleChoiceReducesOutputTokens(t *testing.T) {
 	}
 	if mcIn <= freeIn {
 		t.Fatalf("multiple choice should enlarge prompt (option list): %d vs %d", mcIn, freeIn)
+	}
+}
+
+// beliefDomain records the list each BuildBelief call receives.
+type beliefDomain struct {
+	*stubDomain
+	got [][]memory.Record
+}
+
+func (d *beliefDomain) BuildBelief(agent int, recs []memory.Record) Belief {
+	d.got = append(d.got, append([]memory.Record(nil), recs...))
+	return d.stubDomain.BuildBelief(agent, recs)
+}
+
+// TestBeliefListsWindowObservationExtra pins the in-place belief list: the
+// domain sees window ‖ observation ‖ extra in that order, and the
+// Retrieval the list was appended to keeps its window.
+func TestBeliefListsWindowObservationExtra(t *testing.T) {
+	rec := func(key string, step int) memory.Record {
+		return memory.Record{Step: step, Kind: memory.Observation, Key: key, Payload: key, Tokens: 3}
+	}
+	extra := []memory.Record{rec("msg:a", 2), rec("msg:b", 2)}
+	for _, tc := range []struct {
+		name   string
+		mem    MemoryConfig
+		stored int
+		extra  []memory.Record
+	}{
+		{"store", MemoryConfig{Capacity: 3}, 6, nil},
+		{"store+extra", MemoryConfig{Capacity: 3}, 6, extra},
+		{"store empty window", MemoryConfig{Capacity: 3}, 0, extra},
+		{"dual", MemoryConfig{Dual: true}, 6, nil},
+		{"dual+extra", MemoryConfig{Dual: true}, 6, extra},
+		{"dual empty window", MemoryConfig{Dual: true}, 0, extra},
+		{"memory disabled", MemoryConfig{Capacity: 0}, 6, extra},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, _, _ := newTestAgent(t, AgentConfig{Planner: perfectPlanner(), Memory: tc.mem, Execution: true})
+			for i := 0; i < tc.stored; i++ {
+				a.Store.Add(rec(fmt.Sprintf("k%d", i), i/2))
+			}
+			d := &beliefDomain{stubDomain: newStub()}
+			obs := Observation{Records: []memory.Record{rec("o1", 2), rec("o2", 2), rec("o3", 2)}, Tokens: 9}
+			ret := a.Retrieve(2, len(obs.Records)+len(tc.extra))
+			window := append([]memory.Record(nil), ret.Records...)
+			if tc.stored > 0 && tc.mem.Capacity != 0 && len(window) == 0 {
+				t.Fatal("test set-up left the window empty")
+			}
+			a.Plan(d, 2, ret, obs, tc.extra)
+			want := append(append(append([]memory.Record(nil), window...), obs.Records...), tc.extra...)
+			if len(d.got) != 1 || !reflect.DeepEqual(d.got[0], want) {
+				t.Fatalf("BuildBelief got %v, want %v", d.got, want)
+			}
+			if !reflect.DeepEqual(append([]memory.Record(nil), ret.Records...), window) {
+				t.Fatalf("ret.Records changed by planning: %v, was %v", ret.Records, window)
+			}
+		})
+	}
+}
+
+var beliefSink []memory.Record
+
+// TestRetrieveAndBeliefAllocateOnce pins the fused list: retrieval sized
+// for the observation and extra records, then the belief list, make one
+// record-slice allocation between them.
+func TestRetrieveAndBeliefAllocateOnce(t *testing.T) {
+	obs := Observation{Records: []memory.Record{{Key: "o1", Tokens: 2}, {Key: "o2", Tokens: 2}}}
+	extra := []memory.Record{{Key: "m", Tokens: 1}}
+	for _, st := range []MemStore{memory.NewStore(4), memory.NewDual(4, 100)} {
+		for i := 0; i < 12; i++ {
+			st.Add(memory.Record{Step: i / 3, Key: fmt.Sprintf("k%d", i), Tokens: 2, Static: i == 0})
+		}
+		if n := testing.AllocsPerRun(100, func() {
+			beliefSink = beliefRecords(st.Retrieve(3, len(obs.Records)+len(extra)), obs, extra)
+		}); n != 1 {
+			t.Fatalf("%T: retrieve + belief list allocs/run = %v, want 1", st, n)
+		}
+		if len(beliefSink) != len(st.Retrieve(3, 0).Records)+3 {
+			t.Fatalf("%T: belief list has %d records", st, len(beliefSink))
+		}
 	}
 }

@@ -80,7 +80,9 @@ type Domain interface {
 	// (map layout, station list). These are Static records for Rec. 5.
 	StaticRecords() []memory.Record
 	// BuildBelief folds records (memory window + current observation) into
-	// a belief for the agent. agent may be CentralAgent.
+	// a belief for the agent. agent may be CentralAgent. recs shares its
+	// backing array with the step's memory retrieval, so BuildBelief must
+	// not modify it.
 	BuildBelief(agent int, recs []memory.Record) Belief
 	// Propose computes the oracle decision for the belief.
 	Propose(agent int, b Belief) Proposal

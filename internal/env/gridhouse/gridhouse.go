@@ -12,6 +12,7 @@ package gridhouse
 
 import (
 	"fmt"
+	"strconv"
 
 	"embench/internal/core"
 	"embench/internal/modules/execution"
@@ -60,6 +61,7 @@ func defaults(d world.Difficulty) (targets, horizon int) {
 // object is a transportable target.
 type object struct {
 	id        int
+	key       string // memory key of its sightings, "obj:<id>"
 	cell      world.Cell
 	carriedBy int // -1 when on the floor
 	delivered bool
@@ -79,10 +81,15 @@ type House struct {
 	goalZone  []world.Cell
 	objects   []*object
 	agents    []agentState
+	agentKeys []string // memory key of agent i's sightings, "agent:<i>"
+	claimKeys []string // memory key of agent i's claims, "claim:<i>"
 	step      int
 	horizon   int
 	delivered int
 }
+
+// roomKeys are the memory keys of room sightings, "room:<room>".
+var roomKeys = [4]string{"room:0", "room:1", "room:2", "room:3"}
 
 // ObjFact is the payload of an object sighting record. Gone marks
 // negative evidence: the agent looked where it believed the object was and
@@ -149,12 +156,14 @@ func New(cfg Config, src *rng.Source) *House {
 				continue
 			}
 			used[c] = true
-			h.objects = append(h.objects, &object{id: i, cell: c, carriedBy: -1})
+			h.objects = append(h.objects, &object{id: i, key: "obj:" + strconv.Itoa(i), cell: c, carriedBy: -1})
 			break
 		}
 	}
 	for i := 0; i < cfg.Agents; i++ {
 		h.agents = append(h.agents, agentState{cell: world.C(4+i%3, 4+i/3), carrying: -1})
+		h.agentKeys = append(h.agentKeys, "agent:"+strconv.Itoa(i))
+		h.claimKeys = append(h.claimKeys, "claim:"+strconv.Itoa(i))
 	}
 	return h
 }
@@ -234,30 +243,37 @@ func (h *House) StaticRecords() []memory.Record {
 	return recs
 }
 
-// Observe implements core.Domain: room-scoped visibility.
+// Observe implements core.Domain: room-scoped visibility. It counts the
+// visible entities first and fills one slice of exactly that length.
 func (h *House) Observe(agent int) core.Observation {
-	a := h.agents[agent]
-	room := roomOf(a.cell)
-	obs := core.Observation{}
+	room := roomOf(h.agents[agent].cell)
+	n := 1 // the room itself
+	for _, o := range h.objects {
+		if sees(agent, room, o) {
+			n++
+		}
+	}
+	for i, other := range h.agents {
+		if i != agent && roomOf(other.cell) == room {
+			n++
+		}
+	}
+	obs := core.Observation{Records: make([]memory.Record, 0, n)}
 	add := func(rec memory.Record) {
 		obs.Records = append(obs.Records, rec)
 		obs.Tokens += rec.Tokens
 	}
 	add(memory.Record{
-		Step: h.step, Kind: memory.Observation, Key: fmt.Sprintf("room:%d", room),
+		Step: h.step, Kind: memory.Observation, Key: roomKeys[room],
 		Payload: room, Tokens: roomFactTokens,
 	})
 	for _, o := range h.objects {
-		visible := roomOf(o.cell) == room && o.carriedBy == -1
-		if o.carriedBy == agent {
-			visible = true
-		}
-		if !visible {
+		if !sees(agent, room, o) {
 			continue
 		}
 		obs.Entities++
 		add(memory.Record{
-			Step: h.step, Kind: memory.Observation, Key: fmt.Sprintf("obj:%d", o.id),
+			Step: h.step, Kind: memory.Observation, Key: o.key,
 			Payload: ObjFact{ID: o.id, Cell: o.cell, Delivered: o.delivered, CarriedBy: o.carriedBy},
 			Tokens:  objFactTokens,
 		})
@@ -268,12 +284,18 @@ func (h *House) Observe(agent int) core.Observation {
 		}
 		obs.Entities++
 		add(memory.Record{
-			Step: h.step, Kind: memory.Observation, Key: fmt.Sprintf("agent:%d", i),
+			Step: h.step, Kind: memory.Observation, Key: h.agentKeys[i],
 			Payload: AgentFact{ID: i, Cell: other.cell, Carrying: other.carrying},
 			Tokens:  agentFactTokens, Routine: true,
 		})
 	}
 	return obs
+}
+
+// sees reports whether agent, standing in room, observes o: an object on
+// the floor of the same room, or the one it carries.
+func sees(agent, room int, o *object) bool {
+	return o.carriedBy == agent || o.carriedBy == -1 && roomOf(o.cell) == room
 }
 
 // belief is the domain-specific belief payload.
@@ -674,9 +696,17 @@ func (h *House) ClaimRecord(agent int, g core.Subgoal) (memory.Record, bool) {
 		obj = f.Obj
 	}
 	return memory.Record{
-		Kind: memory.Action, Key: fmt.Sprintf("claim:%d", agent),
+		Kind: memory.Action, Key: h.claimKey(agent),
 		Payload: ClaimFact{Agent: agent, Object: obj}, Tokens: 8,
 	}, true
+}
+
+// claimKey is agent's claim key; the central planner's is built on demand.
+func (h *House) claimKey(agent int) string {
+	if agent >= 0 && agent < len(h.claimKeys) {
+		return h.claimKeys[agent]
+	}
+	return "claim:" + strconv.Itoa(agent)
 }
 
 // CorrectionRecords implements core.Corrector: a fetch that found nothing
@@ -688,7 +718,7 @@ func (h *House) CorrectionRecords(agent int, g core.Subgoal, res execution.Resul
 		return nil
 	}
 	return []memory.Record{{
-		Step: h.step, Kind: memory.Action, Key: fmt.Sprintf("obj:%d", f.Obj),
+		Step: h.step, Kind: memory.Action, Key: h.objects[f.Obj].key,
 		Payload: ObjFact{ID: f.Obj, Cell: f.Cell, Gone: true}, Tokens: 8,
 	}}
 }

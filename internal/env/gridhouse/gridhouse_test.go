@@ -374,3 +374,54 @@ func TestHorizonEndsEpisode(t *testing.T) {
 		t.Fatal("horizon exhaustion should end the episode unsuccessfully")
 	}
 }
+
+// crowdedHouse puts four agents in the start room of a hard house, so agent
+// 0 sees the room, its teammates and the objects placed there.
+func crowdedHouse() *House { return newHouse(4, world.Hard) }
+
+// TestObserveAllocatesExactly pins the presized observation: one records
+// slice of exactly the record count, plus one boxed payload per entity.
+// Keys are built in New, so no per-record string is formatted.
+func TestObserveAllocatesExactly(t *testing.T) {
+	h := crowdedHouse()
+	obs := h.Observe(0)
+	if len(obs.Records) < 4 || len(obs.Records) != cap(obs.Records) {
+		t.Fatalf("Observe returned len %d cap %d, want len == cap and at least 4 records",
+			len(obs.Records), cap(obs.Records))
+	}
+	if len(obs.Records) != 1+obs.Entities {
+		t.Fatalf("%d records for %d entities, want the room plus one per entity", len(obs.Records), obs.Entities)
+	}
+	if n := testing.AllocsPerRun(100, func() { h.Observe(0) }); n > float64(1+obs.Entities) {
+		t.Fatalf("Observe allocs/run = %v, want at most %d (records + one payload per entity)", n, 1+obs.Entities)
+	}
+	want := []string{"room:0"}
+	for _, r := range obs.Records[1:] {
+		switch p := r.Payload.(type) {
+		case ObjFact:
+			want = append(want, fmt.Sprintf("obj:%d", p.ID))
+		case AgentFact:
+			want = append(want, fmt.Sprintf("agent:%d", p.ID))
+		}
+	}
+	for i, r := range obs.Records {
+		if r.Key != want[i] {
+			t.Fatalf("record %d key %q, want %q", i, r.Key, want[i])
+		}
+	}
+	if rec, _ := h.ClaimRecord(core.CentralAgent, Explore{}); rec.Key != "claim:-1" {
+		t.Fatalf("central claim key %q", rec.Key)
+	}
+	if rec, _ := h.ClaimRecord(3, Explore{}); rec.Key != "claim:3" {
+		t.Fatalf("agent claim key %q", rec.Key)
+	}
+}
+
+func BenchmarkObserve(b *testing.B) {
+	h := crowdedHouse()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Observe(i % 4)
+	}
+}

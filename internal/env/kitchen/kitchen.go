@@ -262,9 +262,15 @@ func (g *Game) StaticRecords() []memory.Record {
 
 // Observe implements core.Domain: the order board (state) plus this step's
 // completion events. Stage progress itself is NOT in the state — remember
-// it or redo it.
+// it or redo it. The records fill one slice of exactly their count.
 func (g *Game) Observe(agent int) core.Observation {
-	obs := core.Observation{}
+	n := len(g.prevEv) + len(g.events)
+	for _, o := range g.orders {
+		if !o.Done() {
+			n++
+		}
+	}
+	obs := core.Observation{Records: make([]memory.Record, 0, n)}
 	add := func(rec memory.Record) {
 		obs.Records = append(obs.Records, rec)
 		obs.Tokens += rec.Tokens

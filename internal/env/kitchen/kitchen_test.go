@@ -275,3 +275,22 @@ func TestHorizonEndsGame(t *testing.T) {
 		t.Fatal("horizon should end the game")
 	}
 }
+
+// TestObserveAllocatesExactly pins the presized observation: one records
+// slice of exactly the record count (open orders, then last step's and this
+// step's completion events), plus one boxed payload per open order.
+func TestObserveAllocatesExactly(t *testing.T) {
+	g := newGame(2, world.Hard)
+	o := g.orders[0]
+	g.Execute(0, Op{Order: o.ID, Stage: 0, Station: o.Recipe.Stages[0]})
+	g.Tick()
+	g.Execute(0, Op{Order: o.ID, Stage: 1, Station: o.Recipe.Stages[1]})
+	obs := g.Observe(0)
+	if len(obs.Records) != cap(obs.Records) || len(obs.Records) != obs.Entities+2 {
+		t.Fatalf("Observe returned len %d cap %d for %d orders, want len == cap == orders + 2 events",
+			len(obs.Records), cap(obs.Records), obs.Entities)
+	}
+	if n := testing.AllocsPerRun(100, func() { g.Observe(0) }); n > float64(1+obs.Entities) {
+		t.Fatalf("Observe allocs/run = %v, want at most %d (records + one payload per order)", n, 1+obs.Entities)
+	}
+}

@@ -148,13 +148,19 @@ type Retrieval struct {
 
 // Retrieve returns the records within the capacity window as of
 // currentStep, newest-last, with the token and latency cost of
-// serializing them into context. Records is a fresh slice of exactly the
-// window's length (nil when the window is empty), so callers may keep it.
-func (s *Store) Retrieve(currentStep int) Retrieval {
+// serializing them into context.
+//
+// Records is a fresh slice holding exactly the window (nil when the window
+// is empty and spare is 0), with room for spare more records past its end:
+// the caller may append that many, such as the observation a plan lists
+// after memory, without a second allocation. Such an append leaves Records'
+// length and contents as they were but writes into its backing array, so a
+// Retrieval takes at most one such append.
+func (s *Store) Retrieve(currentStep, spare int) Retrieval {
 	n, tokens := s.window(currentStep)
 	var out []Record
-	if n > 0 {
-		out = s.appendWindow(make([]Record, 0, n), currentStep)
+	if n+spare > 0 {
+		out = s.appendWindow(make([]Record, 0, n+spare), currentStep)
 	}
 	return Retrieval{
 		Records: out,
@@ -274,14 +280,15 @@ func (d *Dual) AddAll(recs []Record) {
 
 // Retrieve merges the compact long-term summary with the short-term
 // window. Long-term content is capped at LongBudget tokens regardless of
-// how much static knowledge accumulated.
-func (d *Dual) Retrieve(currentStep int) Retrieval {
+// how much static knowledge accumulated. Records and spare follow
+// Store.Retrieve.
+func (d *Dual) Retrieve(currentStep, spare int) Retrieval {
 	nLong, tokens := d.Long.window(currentStep)
 	nShort, shortTokens := d.Short.window(currentStep)
 	if d.LongBudget > 0 && tokens > d.LongBudget {
 		tokens = d.LongBudget
 	}
-	recs := d.Long.appendWindow(make([]Record, 0, nLong+nShort), currentStep)
+	recs := d.Long.appendWindow(make([]Record, 0, nLong+nShort+spare), currentStep)
 	recs = d.Short.appendWindow(recs, currentStep)
 	return Retrieval{
 		Records: recs,

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -25,7 +26,7 @@ func TestStoreWindow(t *testing.T) {
 	for step := 0; step < 10; step++ {
 		s.Add(rec(step, Observation, fmt.Sprintf("k%d", step), 10))
 	}
-	got := s.Retrieve(9)
+	got := s.Retrieve(9, 0)
 	// Window of 3 as of step 9 keeps steps 7,8,9.
 	if len(got.Records) != 3 {
 		t.Fatalf("retrieved %d records, want 3", len(got.Records))
@@ -43,7 +44,7 @@ func TestStoreUnlimited(t *testing.T) {
 	for step := 0; step < 50; step++ {
 		s.Add(rec(step, Action, "", 5))
 	}
-	if got := s.Retrieve(49); len(got.Records) != 50 {
+	if got := s.Retrieve(49, 0); len(got.Records) != 50 {
 		t.Fatalf("unlimited store retrieved %d", len(got.Records))
 	}
 }
@@ -54,7 +55,7 @@ func TestStoreZeroCapacityDropsEverything(t *testing.T) {
 	if s.Len() != 0 {
 		t.Fatal("zero-capacity store retained a record")
 	}
-	if got := s.Retrieve(0); len(got.Records) != 0 {
+	if got := s.Retrieve(0, 0); len(got.Records) != 0 {
 		t.Fatal("zero-capacity store returned records")
 	}
 }
@@ -68,7 +69,7 @@ func TestRetrievalLatencyGrowsWithRecords(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		big.Add(rec(i, Observation, "", 1))
 	}
-	if big.Retrieve(199).Latency <= small.Retrieve(4).Latency {
+	if big.Retrieve(199, 0).Latency <= small.Retrieve(4, 0).Latency {
 		t.Fatal("retrieval latency should grow with record count (Fig. 5)")
 	}
 }
@@ -112,7 +113,7 @@ func TestClear(t *testing.T) {
 func TestAddAllOrder(t *testing.T) {
 	s := NewStore(-1)
 	s.AddAll([]Record{rec(0, Observation, "a", 1), rec(1, Observation, "b", 1)})
-	got := s.Retrieve(1)
+	got := s.Retrieve(1, 0)
 	if len(got.Records) != 2 || got.Records[0].Key != "a" {
 		t.Fatalf("AddAll order wrong: %+v", got.Records)
 	}
@@ -128,7 +129,7 @@ func TestWindowProperty(t *testing.T) {
 		for step := 0; step < n; step++ {
 			s.Add(rec(step, Observation, "", 3))
 		}
-		got := s.Retrieve(n - 1)
+		got := s.Retrieve(n-1, 0)
 		tok := 0
 		for _, r := range got.Records {
 			if r.Step <= n-1-capacity {
@@ -169,7 +170,7 @@ func TestDualCapsLongTermTokens(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		d.Add(Record{Step: 0, Key: fmt.Sprintf("map:r%d", i), Static: true, Tokens: 40})
 	}
-	got := d.Retrieve(0)
+	got := d.Retrieve(0, 0)
 	// 400 raw long-term tokens capped at 60.
 	if got.Tokens != 60 {
 		t.Fatalf("long-term tokens = %d, want capped 60", got.Tokens)
@@ -187,8 +188,8 @@ func TestDualRetrievalCheaperThanFlat(t *testing.T) {
 		flat.Add(st)
 		dual.Add(st)
 	}
-	f := flat.Retrieve(99)
-	d := dual.Retrieve(99)
+	f := flat.Retrieve(99, 0)
+	d := dual.Retrieve(99, 0)
 	if d.Latency >= f.Latency {
 		t.Fatalf("dual retrieval (%v) should beat flat (%v)", d.Latency, f.Latency)
 	}
@@ -287,10 +288,10 @@ func TestRetrieveMatchesSeed(t *testing.T) {
 				s.Add(rc)
 				d.Add(rc)
 			}
-			if got, want := s.Retrieve(step), seedRetrieve(s, step); !reflect.DeepEqual(got, want) {
+			if got, want := s.Retrieve(step, 0), seedRetrieve(s, step); !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d step %d cap %d: Store.Retrieve = %+v, want %+v", trial, step, s.capacity, got, want)
 			}
-			if got, want := d.Retrieve(step), seedDualRetrieve(d, step); !reflect.DeepEqual(got, want) {
+			if got, want := d.Retrieve(step, 0), seedDualRetrieve(d, step); !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d step %d: Dual.Retrieve = %+v, want %+v", trial, step, got, want)
 			}
 		}
@@ -308,17 +309,56 @@ func TestRetrieveAllocatesOnce(t *testing.T) {
 			d.Add(rc)
 		}
 	}
-	if n := len(s.Retrieve(29).Records); n != 160 {
+	if n := len(s.Retrieve(29, 0).Records); n != 160 {
 		t.Fatalf("window holds %d records, want 160", n)
 	}
-	if n := testing.AllocsPerRun(100, func() { s.Retrieve(29) }); n != 1 {
+	if n := testing.AllocsPerRun(100, func() { s.Retrieve(29, 0) }); n != 1 {
 		t.Fatalf("Store.Retrieve allocs/run = %v, want exactly 1", n)
 	}
-	if n := testing.AllocsPerRun(100, func() { d.Retrieve(29) }); n != 1 {
+	if n := testing.AllocsPerRun(100, func() { d.Retrieve(29, 0) }); n != 1 {
 		t.Fatalf("Dual.Retrieve allocs/run = %v, want exactly 1", n)
 	}
-	if ret := s.Retrieve(29); cap(ret.Records) != len(ret.Records) {
+	if ret := s.Retrieve(29, 0); cap(ret.Records) != len(ret.Records) {
 		t.Fatalf("Records cap %d, len %d: want exactly sized", cap(ret.Records), len(ret.Records))
+	}
+}
+
+// TestRetrieveLeavesSpareRoom pins the spare-capacity contract: Records is
+// the same window whatever the spare count, with exactly spare free slots
+// past it, and appending into them leaves Records as it was.
+func TestRetrieveLeavesSpareRoom(t *testing.T) {
+	s := NewStore(4)
+	d := NewDual(3, 50)
+	for step := 0; step < 10; step++ {
+		for k := 0; k < 5; k++ {
+			rc := rec(step, Kind(k%3), fmt.Sprintf("k%d:%d", step, k), 5)
+			rc.Static = k == 0
+			s.Add(rc)
+			d.Add(rc)
+		}
+	}
+	empty := NewStore(4)
+	for _, retrieve := range []func(step, spare int) Retrieval{s.Retrieve, d.Retrieve, empty.Retrieve} {
+		for _, spare := range []int{0, 1, 7} {
+			want := retrieve(9, 0)
+			got := retrieve(9, spare)
+			if got.Tokens != want.Tokens || got.Latency != want.Latency || len(got.Records) != len(want.Records) ||
+				cap(got.Records) != len(want.Records)+spare {
+				t.Fatalf("spare %d: len %d cap %d, want len %d cap %d", spare,
+					len(got.Records), cap(got.Records), len(want.Records), len(want.Records)+spare)
+			}
+			window := slices.Clone(got.Records)
+			fill := make([]Record, spare)
+			for k := range fill {
+				fill[k] = rec(99, Observation, "obs", 1)
+			}
+			if grown := append(got.Records, fill...); cap(grown) != cap(got.Records) {
+				t.Fatalf("spare %d: appending %d records reallocated", spare, spare)
+			}
+			if !reflect.DeepEqual(got.Records, window) || (len(window) > 0 && !reflect.DeepEqual(window, want.Records)) {
+				t.Fatalf("spare %d: Records %v, want %v", spare, got.Records, want.Records)
+			}
+		}
 	}
 }
 
@@ -381,6 +421,6 @@ func BenchmarkRetrieve(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Retrieve(29)
+		s.Retrieve(29, 0)
 	}
 }

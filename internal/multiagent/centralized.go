@@ -4,6 +4,7 @@ import (
 	"embench/internal/core"
 	"embench/internal/llm"
 	"embench/internal/modules/execution"
+	"embench/internal/modules/memory"
 	"embench/internal/modules/planning"
 	"embench/internal/rng"
 	"embench/internal/simclock"
@@ -42,25 +43,33 @@ func RunCentralized(d core.CentralDomain, cfg core.AgentConfig, opt Options) Out
 		}
 	}
 
+	views := make([]core.Observation, n)
 	for !d.Done() {
 		step := d.Step()
 
 		// Body sensing; local views stream to the central memory (cheap
-		// telemetry, not LLM dialogue).
+		// telemetry, not LLM dialogue). The merged view is one exactly
+		// sized slice, and views drops the per-agent slices once merged.
 		set.beginPhase()
 		var merged core.Observation
-		for _, a := range set.agents {
-			o := a.Sense(d, step)
-			merged.Records = append(merged.Records, o.Records...)
-			merged.Tokens += o.Tokens
-			merged.Entities += o.Entities
+		size := 0
+		for i, a := range set.agents {
+			views[i] = a.Sense(d, step)
+			size += len(views[i].Records)
+			merged.Tokens += views[i].Tokens
+			merged.Entities += views[i].Entities
 		}
 		set.endPhase(timeline, opt.Parallel)
+		merged.Records = make([]memory.Record, 0, size)
+		for _, v := range views {
+			merged.Records = append(merged.Records, v.Records...)
+		}
+		clear(views)
 		central.Store.AddAll(merged.Records)
 
 		// One joint plan, then one instruction broadcast.
 		centralMark := centralClock.Now()
-		ret := central.Retrieve(step)
+		ret := central.Retrieve(step, len(merged.Records))
 		pr := central.PlanJoint(d, step, ret, merged, nil)
 		if instructClient != nil {
 			instructClient.Complete(llm.Request{

@@ -78,7 +78,7 @@ func RunDecentralized(d core.Domain, cfg core.AgentConfig, opt Options) Outcome 
 			aggregatedPlanPhase(d, set, step, obs, cfg, opt)
 		} else {
 			for i, a := range set.agents {
-				ret := a.Retrieve(step)
+				ret := a.Retrieve(step, len(obs[i].Records))
 				pr := a.Plan(d, step, ret, obs[i], nil)
 				finishAgentStep(d, set, i, step, obs[i], pr, cfg, opt)
 			}
@@ -114,7 +114,7 @@ func aggregatedPlanPhase(d core.Domain, set *agentSet, step int, obs []core.Obse
 	var reqs []llm.Request
 	var idx []int
 	for i, a := range set.agents {
-		ret := a.Retrieve(step)
+		ret := a.Retrieve(step, len(obs[i].Records))
 		preps[i] = a.PreparePlan(d, step, ret, obs[i], nil)
 		if preps[i].Ready {
 			prs[i] = preps[i].Result

@@ -22,7 +22,7 @@ func RunSingle(d core.Domain, cfg core.AgentConfig, opt Options) Outcome {
 	for !d.Done() {
 		step := d.Step()
 		obs := agent.Sense(d, step)
-		ret := agent.Retrieve(step)
+		ret := agent.Retrieve(step, len(obs.Records))
 		pr := agent.Plan(d, step, ret, obs, nil)
 		res := agent.Execute(d, step, pr)
 		agent.Reflect(d, step, pr, res)

@@ -3,8 +3,11 @@ package rng
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"math/rand"
 	"runtime"
+	"slices"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -218,6 +221,131 @@ func TestNewStreamDefersSourceState(t *testing.T) {
 		t.Fatalf("Sub allocs/run = %v, want 1 (the Source)", n)
 	}
 }
+
+// runOps replays one draw pattern on lazySource and on rand.NewSource, the
+// oracle, and reports the first op whose results differ. Each byte is one
+// op; 0xff reseeds both sides from a shared draw, so a random pattern
+// reseeds rarely and mostly runs on past the 607th draw, where every
+// register entry is built and draws take the plain path.
+func runOps(seed int64, ops []byte) error {
+	lazy := rand.New(&lazySource{seed: seed})
+	eager := rand.New(rand.NewSource(seed))
+	for i, op := range ops {
+		n := 1 + int(op>>3)
+		var a, b uint64
+		switch {
+		case op == 0xff:
+			a, b = lazy.Uint64(), eager.Uint64()
+			lazy.Seed(int64(a))
+			eager.Seed(int64(b))
+		case op%8 == 0:
+			a, b = uint64(lazy.Int63()), uint64(eager.Int63())
+		case op%8 == 1:
+			a, b = lazy.Uint64(), eager.Uint64()
+		case op%8 == 2:
+			a, b = uint64(lazy.Intn(n)), uint64(eager.Intn(n))
+		case op%8 == 3:
+			a, b = math.Float64bits(lazy.Float64()), math.Float64bits(eager.Float64())
+		case op%8 == 4:
+			if x, y := lazy.Perm(n), eager.Perm(n); !slices.Equal(x, y) {
+				return fmt.Errorf("seed %d op #%d (%#x): lazy Perm %v, rand.NewSource %v", seed, i, op, x, y)
+			}
+		case op%8 == 5:
+			x, y := make([]int, n), make([]int, n)
+			for k := range x {
+				x[k], y[k] = k, k
+			}
+			lazy.Shuffle(n, func(i, j int) { x[i], x[j] = x[j], x[i] })
+			eager.Shuffle(n, func(i, j int) { y[i], y[j] = y[j], y[i] })
+			if !slices.Equal(x, y) {
+				return fmt.Errorf("seed %d op #%d (%#x): lazy Shuffle %v, rand.NewSource %v", seed, i, op, x, y)
+			}
+		case op%8 == 6:
+			// Large bounds exercise Int63n's rejection loop.
+			a, b = uint64(lazy.Int63n(int64(n)<<56)), uint64(eager.Int63n(int64(n)<<56))
+		default:
+			a, b = uint64(lazy.Int31n(int32(n))), uint64(eager.Int31n(int32(n)))
+		}
+		if a != b {
+			return fmt.Errorf("seed %d op #%d (%#x): lazy %d, rand.NewSource %d", seed, i, op, a, b)
+		}
+	}
+	return nil
+}
+
+// edgeSeeds are the seeds math/rand's normalisation treats specially:
+// zero (replaced by 89482311), negatives (wrapped), multiples of 2³¹−1
+// (which reduce to zero) and the int64 extremes.
+var edgeSeeds = []int64{
+	0, 1, -1, 89482311, int32max - 1, int32max, -int32max, 2 * int32max, -2 * int32max,
+	int32max * int32max, int32max + 1, math.MaxInt64, math.MinInt64, math.MinInt64 + 1,
+}
+
+// TestExactSourceMatchesMathRand holds lazySource to rand.NewSource: the
+// edge seeds draw well past the 607th draw, where every register entry is
+// built, then reseed; 3000 derived seeds each run a random pattern of up to
+// 1500 mixed ops.
+func TestExactSourceMatchesMathRand(t *testing.T) {
+	long := make([]byte, 2500)
+	for i := range long {
+		long[i] = byte(i % 2) // Int63, Uint64
+	}
+	long = append(long, 0xff, 0, 1, 0xff, 0)
+	for _, seed := range edgeSeeds {
+		if err := runOps(seed, long); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pick := rand.New(rand.NewSource(2718))
+	root := New(5)
+	for i := 0; i < 3000; i++ {
+		ops := make([]byte, 1+pick.Intn(1500))
+		pick.Read(ops)
+		if err := runOps(int64(root.Sub(strconv.Itoa(i)).Seed()), ops); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src := &lazySource{seed: 42}
+	for i := 0; i < rngLen; i++ {
+		src.Uint64()
+	}
+	if src.reg.unbuilt != 0 {
+		t.Fatalf("%d entries unbuilt after %d draws, want 0 (the plain path)", src.reg.unbuilt, rngLen)
+	}
+}
+
+func FuzzExactSource(f *testing.F) {
+	f.Add(int64(0), []byte{0, 1, 2, 3, 4, 5, 6, 7})
+	f.Add(int64(math.MinInt64), []byte{0xff, 0x10, 0x23})
+	f.Add(int64(int32max), make([]byte, 700))
+	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
+		if err := runOps(seed, ops); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// BenchmarkStreamDraws times a stream's whole life: creation, then n
+// draws. The median stream in the fig2 and fig7 sweeps takes 85 draws; at
+// 607 every register entry is built.
+func BenchmarkStreamDraws(b *testing.B) {
+	src := New(3)
+	for _, n := range []int{8, 85, 607, 2000} {
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			b.ReportAllocs()
+			var sink int64
+			for i := 0; i < b.N; i++ {
+				st := src.Stream("agent0/sense")
+				for k := 0; k < n; k++ {
+					sink += st.Int63()
+				}
+			}
+			drawSink = sink
+		})
+	}
+}
+
+var drawSink int64
 
 func BenchmarkNewStream(b *testing.B) {
 	src := New(3)
